@@ -13,12 +13,10 @@ bit-identical output from the same on-disk dataset:
 * ``threads x4``   — sorted kernel fanned out on the thread pool;
 * ``processes x4`` — sorted kernel on the process pool; shards and results
   cross via ``multiprocessing.shared_memory`` instead of the pipe;
-* ``fused x4``     — telemetry -> cluster series with read+coarsen+aggregate
-  fused into one task per shard on the process pool: workers read their own
-  shard and only the tiny per-window series crosses back;
-* ``unfused x4``   — the same series with separate coarsen and aggregate
-  fan-outs, the full telemetry and coarse intermediates crossing the
-  executor boundary both ways.
+* ``fused x4``     — ``Pipeline.telemetry_series``: telemetry -> cluster
+  series with read+coarsen+aggregate as one query-plan task per shard on
+  the process pool: workers read their own shard and only the tiny
+  per-window series crosses back.
 
 Every variant's output is asserted **bit-identical** to the single-pass
 baseline's; the kernel microbenchmark below the main table does the same on
@@ -115,7 +113,7 @@ def _kernel_comparison():
 
 
 def test_pipeline_scaling(benchmark, twin_day, tmp_path):
-    ds, span = build_dataset(twin_day, tmp_path)
+    ds, _ = build_dataset(twin_day, tmp_path)
 
     # pre-optimization reference: one read, one generic-kernel pass
     t0 = time.perf_counter()
@@ -152,24 +150,18 @@ def test_pipeline_scaling(benchmark, twin_day, tmp_path):
                              coarse_single.sort(["node", "timestamp"]),
                              "chunked vs single-pass")
 
-    # fused vs unfused telemetry -> cluster series from the same dataset
-    pipe_fused = Pipeline(twin_day, PipelineConfig(
-        chunk_seconds=span, backend="processes", max_workers=4, fuse=True))
-    pipe_unfused = Pipeline(twin_day, PipelineConfig(
-        chunk_seconds=span, backend="processes", max_workers=4, fuse=False))
+    # telemetry -> cluster series, one task per shard, from the same dataset
+    pipe_fused = Pipeline(twin_day, PipelineConfig(backend="processes",
+                                                   max_workers=4))
     t0 = time.perf_counter()
-    series_fused = pipe_fused.telemetry_series(ds, ["input_power"])
+    series_fused = pipe_fused.telemetry_series(ds)
     t_fused = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    series_unfused = pipe_unfused.telemetry_series(ds, ["input_power"])
-    t_unfused = time.perf_counter() - t0
     _assert_tables_identical(series_fused, series_single, "fused")
-    _assert_tables_identical(series_unfused, series_single, "unfused")
 
     # tracing-disabled overhead over the instrumented hot path: every
     # span() the executor/pipeline took above was the no-op fast path;
     # charge each at its measured per-call cost against the phase wall
-    hot_wall = t_serial + t_sorted + t_threads + t_procs + t_fused + t_unfused
+    hot_wall = t_serial + t_sorted + t_threads + t_procs + t_fused
     span_calls = trace.disabled_span_calls() - span_calls0
     overhead_pct = trace_overhead_pct(span_calls, hot_wall)
 
@@ -195,8 +187,6 @@ def test_pipeline_scaling(benchmark, twin_day, tmp_path):
              f"{t_procs:.3f}"],
             ["fused x4", ds.n_partitions, ds.n_rows,
              series_fused.n_rows, f"{t_fused:.3f}"],
-            ["unfused x4", ds.n_partitions, ds.n_rows,
-             series_unfused.n_rows, f"{t_unfused:.3f}"],
         ],
         title="X3: partition-parallel 10 s coarsening of 1 Hz telemetry",
     )
@@ -241,8 +231,6 @@ def test_pipeline_scaling(benchmark, twin_day, tmp_path):
     anchor(t_fused * 2.0 <= t_single,
            f"fused processes x4 >= 2x single-pass serial "
            f"({t_single:.3f}s vs {t_fused:.3f}s)")
-    anchor(t_fused <= t_unfused,
-           f"fusion regression ({t_fused:.3f}s vs {t_unfused:.3f}s)")
     # tracing-disabled must stay free — hard at every scale (the no-op
     # span cost does not shrink with REPRO_BENCH_SCALE)
     assert overhead_pct < TRACE_OVERHEAD_BUDGET * 100, (

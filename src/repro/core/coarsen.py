@@ -25,7 +25,6 @@ def coarsen_telemetry(
     by: Sequence[str] = ("node",),
     time: str = "timestamp",
     drop_nan: bool = True,
-    pipeline=None,
     presorted: bool | None = None,
 ) -> Table:
     """Per-node windowed statistics of raw telemetry.
@@ -41,20 +40,11 @@ def coarsen_telemetry(
     factorize, no argsort; the default ``None`` probes for that order in
     O(n).  Either way the output is bit-identical to the generic kernel.
 
-    With a :class:`~repro.pipeline.runner.Pipeline` the coarsening runs
-    chunked (one task per aligned time window) through its executor and
-    stats, producing a bit-identical table.
-
     ``telemetry`` may also be a
     :class:`~repro.parallel.partition.PartitionedDataset`: only the columns
     this coarsening consumes (``by`` + ``time`` + ``values``) are read —
     zero-copy column maps on ``.rcs`` shards.
     """
-    if pipeline is not None:
-        return pipeline.coarsen(
-            telemetry, values, width=width, by=by, time=time,
-            drop_nan=drop_nan, presorted=presorted,
-        )
     if not isinstance(telemetry, Table):
         from repro.parallel.partition import PartitionedDataset
 

@@ -42,10 +42,7 @@ class PipelineConfig:
     ``chunk_seconds`` is the shard width (default one day, matching the
     paper's one-parquet-file-per-day layout); ``backend`` / ``max_workers``
     / ``mp_context`` select the :class:`~repro.parallel.executor.Executor`;
-    ``cache_dir`` enables the on-disk artifact cache.  ``fuse`` makes
-    :meth:`Pipeline.telemetry_series` run read -> coarsen -> aggregate as
-    **one** task per time shard, so the coarsened intermediate never crosses
-    the executor boundary or the artifact cache (bit-identical either way).
+    ``cache_dir`` enables the on-disk artifact cache.
     """
 
     chunk_seconds: float = 86_400.0
@@ -53,7 +50,6 @@ class PipelineConfig:
     max_workers: int | None = None
     mp_context: str | None = None
     cache_dir: str | os.PathLike | None = None
-    fuse: bool = True
 
     def __post_init__(self):
         if self.chunk_seconds <= 0:
@@ -151,86 +147,6 @@ class _JobChunk:
         )
 
 
-class _CoarsenChunk:
-    """10 s-coarsen one telemetry sub-table."""
-
-    __slots__ = ("values", "width", "by", "time", "drop_nan", "presorted")
-
-    def __init__(self, values, width, by, time, drop_nan, presorted=None):
-        self.values = list(values)
-        self.width = width
-        self.by = list(by)
-        self.time = time
-        self.drop_nan = drop_nan
-        self.presorted = presorted
-
-    def __call__(self, sub: Table) -> Table:
-        from repro.core.coarsen import coarsen_telemetry
-
-        return coarsen_telemetry(
-            sub, self.values, width=self.width, by=self.by,
-            time=self.time, drop_nan=self.drop_nan, presorted=self.presorted,
-        )
-
-
-class _AggregateChunk:
-    """Collapse one coarsened sub-table into the cluster power series."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: str):
-        self.value = value
-
-    def __call__(self, sub: Table) -> Table:
-        from repro.core.aggregate import cluster_power_series
-
-        return cluster_power_series(sub, value=self.value)
-
-
-class _FusedChunk:
-    """Read -> coarsen -> aggregate one time shard in a single task.
-
-    The coarsened intermediate lives and dies inside the worker: nothing but
-    the final (tiny) cluster-series slice crosses the executor boundary.
-    Dataset reads push the stage's **projection** (the columns the coarsen
-    actually consumes) and optional **time range** down into the shard
-    reader, so an ``.rcs`` shard maps only those columns' pages.  Each
-    sub-step is timed in the worker so the parent can keep per-stage
-    accounting (``fused/read``, ``fused/coarsen``, ``fused/aggregate``).
-    """
-
-    __slots__ = ("coarsen", "value", "dataset", "columns", "t_range")
-
-    def __init__(self, coarsen: _CoarsenChunk, value: str, dataset=None,
-                 columns=None, t_range=None):
-        self.coarsen = coarsen
-        self.value = value
-        self.dataset = dataset
-        self.columns = list(columns) if columns is not None else None
-        self.t_range = t_range
-
-    def __call__(self, item) -> tuple[Table, tuple, int]:
-        from repro.core.aggregate import cluster_power_series
-
-        t0 = _time.perf_counter()
-        if self.dataset is not None:  # item is a shard index
-            if self.t_range is not None:
-                sub = self.dataset.read_time_range(
-                    item, self.t_range[0], self.t_range[1],
-                    columns=self.columns, time=self.coarsen.time,
-                )
-            else:
-                sub = self.dataset.read(item, columns=self.columns)
-        else:
-            sub = item
-        t1 = _time.perf_counter()
-        coarse = self.coarsen(sub)
-        t2 = _time.perf_counter()
-        series = cluster_power_series(coarse, value=self.value)
-        t3 = _time.perf_counter()
-        return series, (t1 - t0, t2 - t1, t3 - t2), coarse.n_rows
-
-
 class Pipeline:
     """Chunked out-of-core execution of twin dataset derivations.
 
@@ -243,10 +159,12 @@ class Pipeline:
     ========================  =======================================
     :meth:`cluster_power`     ``TwinData.cluster_power``
     :meth:`job_series`        ``TwinData.job_series``
-    :meth:`coarsen`           :func:`repro.core.coarsen.coarsen_telemetry`
-    :meth:`cluster_series`    :func:`repro.core.aggregate.cluster_power_series`
+    :meth:`telemetry_series`  ``cluster_power_series(coarsen_telemetry(t))``
     :meth:`export`            :func:`repro.datasets.store.export_datasets`
     ========================  =======================================
+
+    Per-node coarsening over an archived store is
+    ``plan_query(Query(level="node"), dataset)`` (:mod:`repro.serve.planner`).
     """
 
     def __init__(self, source, config: PipelineConfig | None = None):
@@ -299,23 +217,26 @@ class Pipeline:
         stage: str,
         items: Sequence,
         task_factory: Callable[[], Callable],
-        keys: Sequence[str] | None = None,
+        keys: Sequence[str | None] | None = None,
         rows_in: int = 0,
     ) -> list[Table]:
         """Run one stage: cache lookups, fan out misses, store, account.
 
         ``items`` are the per-chunk task inputs; ``keys`` (when caching) are
-        the content-addressed keys, parallel to ``items``.  Results come
-        back in item order regardless of hit/miss interleaving.
+        the content-addressed keys, parallel to ``items`` — a ``None`` key
+        marks an item that is always computed and never stored.  Results
+        come back in item order regardless of hit/miss interleaving.
         """
         with trace.span("pipeline.stage", stage=stage,
                         items=len(items)) as sp:
             results: list[Table | None] = [None] * len(items)
             hits = 0
-            if self.cache is not None and keys is not None:
+            if self.cache is None:
+                keys = None
+            if keys is not None:
                 t0 = _time.perf_counter()
                 for idx, key in enumerate(keys):
-                    got = self.cache.get(key)
+                    got = None if key is None else self.cache.get(key)
                     if got is not None:
                         results[idx] = got
                         hits += 1
@@ -326,6 +247,7 @@ class Pipeline:
             miss_idx = [i for i, r in enumerate(results) if r is None]
             wall = lookup_s
             bytes_out = 0
+            misses = 0
             if miss_idx:
                 timed = _Timed(task_factory())
                 outs = self.executor.map(
@@ -334,10 +256,10 @@ class Pipeline:
                 for i, (elapsed, table) in zip(miss_idx, outs):
                     results[i] = table
                     wall += elapsed
-                    if self.cache is not None and keys is not None:
+                    if keys is not None and keys[i] is not None:
                         bytes_out += self.cache.put(keys[i], table)
+                        misses += 1
 
-            cached_run = self.cache is not None and keys is not None
             sp.set(cache_hits=hits, misses=len(miss_idx))
             tables: list[Table] = results  # type: ignore[assignment]
             self.stats.record(
@@ -348,7 +270,7 @@ class Pipeline:
                 rows_out=sum(t.n_rows for t in tables),
                 bytes_out=bytes_out,
                 cache_hits=hits,
-                cache_misses=len(miss_idx) if cached_run else 0,
+                cache_misses=misses,
             )
             return tables
 
@@ -426,280 +348,69 @@ class Pipeline:
         ]
         return combined.take(np.argsort(sample_rows, kind="stable"))
 
-    def coarsen(
-        self,
-        telemetry: Table,
-        values: Sequence[str],
-        width: float | None = None,
-        by: Sequence[str] = ("node",),
-        time: str = "timestamp",
-        drop_nan: bool = True,
-        presorted: bool | None = None,
-        cache_token: str | None = None,
-    ) -> Table:
-        """Chunked 10 s coarsening (Dataset A -> Dataset 0).
-
-        Chunk edges are aligned to multiples of ``width`` so every coarsen
-        window falls wholly inside one chunk; the concatenated result is
-        re-sorted to the single-pass ``group_by`` order.  ``presorted``
-        forwards to the windowed group-by kernel (chunking by time window
-        preserves per-group time order, so a sorted input keeps its fast
-        path in every chunk).  Caching requires a ``cache_token`` naming the
-        telemetry's provenance (raw table content is never hashed).
-        """
-        from repro.config import SUMMIT
-
-        width = SUMMIT.coarsen_window_s if width is None else width
-        eff_chunk = max(width, np.floor(self.config.chunk_seconds / width) * width)
-        t = telemetry[time]
-        win = np.floor(np.asarray(t, dtype=np.float64) / eff_chunk).astype(np.int64)
-        uniq = np.unique(win)
-        items = [telemetry.filter(win == k) for k in uniq]
-        keys = None
-        if self.cache is not None and cache_token is not None:
-            keys = [
-                cache_key(
-                    cache_token, stage="coarsen", values=list(values),
-                    width=width, by=list(by), time=time, drop_nan=drop_nan,
-                    window=int(k),
-                )
-                for k in uniq
-            ]
-        tables = self._run_stage(
-            "coarsen",
-            items,
-            lambda: _CoarsenChunk(values, width, by, time, drop_nan, presorted),
-            keys,
-            rows_in=telemetry.n_rows,
-        )
-        tables = [x for x in tables if x.n_rows]
-        if not tables:
-            return _CoarsenChunk(values, width, by, time, drop_nan, presorted)(telemetry)
-        return concat(tables).sort(list(by) + ["timestamp"])
-
-    def cluster_series(
-        self,
-        coarse: Table,
-        value: str = "input_power",
-        cache_token: str | None = None,
-    ) -> Table:
-        """Chunked Dataset 1 collapse of a coarsened table."""
-        t = coarse["timestamp"]
-        win = np.floor(
-            np.asarray(t, dtype=np.float64) / self.config.chunk_seconds
-        ).astype(np.int64)
-        uniq = np.unique(win)
-        items = [coarse.filter(win == k) for k in uniq]
-        keys = None
-        if self.cache is not None and cache_token is not None:
-            keys = [
-                cache_key(cache_token, stage="aggregate", value=value,
-                          window=int(k))
-                for k in uniq
-            ]
-        tables = self._run_stage(
-            "aggregate",
-            items,
-            lambda: _AggregateChunk(value),
-            keys,
-            rows_in=coarse.n_rows,
-        )
-        tables = [x for x in tables if x.n_rows]
-        if not tables:
-            return _AggregateChunk(value)(coarse)
-        return concat(tables).sort("timestamp")
-
     def telemetry_series(
         self,
-        telemetry,
-        values: Sequence[str] = ("input_power",),
+        dataset,
         value: str = "input_power",
         width: float | None = None,
-        by: Sequence[str] = ("node",),
-        time: str = "timestamp",
-        drop_nan: bool = True,
-        presorted: bool | None = None,
-        cache_token: str | None = None,
         t_begin: float | None = None,
         t_end: float | None = None,
+        cache_token: str | None = None,
     ) -> Table:
-        """Telemetry -> cluster power series (Dataset A -> Dataset 1).
+        """Archived telemetry -> cluster power series (Dataset A -> Dataset 1).
 
-        With ``config.fuse`` (the default) each time shard runs read ->
-        coarsen -> aggregate as **one** executor task (:class:`_FusedChunk`):
-        the per-node coarsened intermediate — typically 10x the size of the
-        final series — never crosses the executor boundary and is never
-        written to the artifact cache; only the final per-shard series slice
-        is cached (stage ``fused``).  With ``fuse=False`` this is exactly
-        :meth:`coarsen` followed by :meth:`cluster_series`.  Both routes are
-        bit-identical to the single-pass
+        Compiles a cluster-level :class:`~repro.serve.query.Query` over
+        ``dataset`` (a :class:`~repro.parallel.partition.PartitionedDataset`)
+        and runs its :class:`~repro.serve.planner.QueryPlan`: zone maps prune
+        shards outside ``[t_begin, t_end)``, each surviving shard is one
+        read -> coarsen -> aggregate task on this pipeline's executor (stage
+        ``series``), and :meth:`~repro.serve.planner.QueryPlan.finalize`
+        merges the slices.  Bit-identical to the single-pass
         :func:`~repro.core.aggregate.cluster_power_series` of
-        :func:`~repro.core.coarsen.coarsen_telemetry`.
+        :func:`~repro.core.coarsen.coarsen_telemetry` over the same rows.
 
-        ``telemetry`` is a :class:`~repro.frame.table.Table` or a
-        :class:`~repro.parallel.partition.PartitionedDataset` whose shard
-        edges are aligned to ``width`` multiples (the writer's layout);
-        dataset shards are read *inside* the worker, so the fan-out payload
-        is one integer per task.  The stage's **projection** (``by`` +
-        ``time`` + ``values``) is pushed into those reads — an ``.rcs``
-        dataset maps only the consumed columns — and a ``t_begin``/``t_end``
-        **predicate** prunes whole shards via manifest zone maps before any
-        byte is read, then row-slices the survivors (both folded into the
-        cache key; results equal filtering the full read bit-for-bit).
+        With a cache and a ``cache_token`` naming the telemetry's
+        provenance, tasks that cover their shard fully or on coarsen-grid
+        bounds are cached under the token plus the task's generation-stamped
+        ``fragment_key`` and slice bounds, so a compacted or rewritten
+        dataset can never be answered from a stale shard; unaligned
+        boundary tasks are always computed.
         """
         from repro.config import SUMMIT
         from repro.parallel.partition import PartitionedDataset
 
-        width = SUMMIT.coarsen_window_s if width is None else width
-        is_dataset = isinstance(telemetry, PartitionedDataset)
-        projection = list(dict.fromkeys(list(by) + [time] + list(values)))
-        t_range = None
-        if t_begin is not None or t_end is not None:
-            t_range = (
-                -np.inf if t_begin is None else float(t_begin),
-                np.inf if t_end is None else float(t_end),
-            )
+        # imported here, not at module level: batch entry points that
+        # never build a series must not pay for the service package
+        from repro.serve.planner import plan_query
+        from repro.serve.query import Query
 
-        if not self.config.fuse:
-            if is_dataset:
-                if t_range is not None:
-                    parts = [
-                        t for t in telemetry.scan(
-                            projection, t_range[0], t_range[1], time=time
-                        ) if t.n_rows
-                    ]
-                    table = (
-                        concat(parts) if parts
-                        else telemetry.read(0, projection)[:0]
-                    )
-                else:
-                    table = telemetry.to_table(columns=projection)
-            else:
-                table = telemetry.select(projection)
-                if t_range is not None:
-                    t_col = np.asarray(table[time], dtype=np.float64)
-                    table = table.filter(
-                        (t_col >= t_range[0]) & (t_col < t_range[1])
-                    )
-            coarse = self.coarsen(
-                table, values, width=width, by=by, time=time,
-                drop_nan=drop_nan, presorted=presorted,
-                cache_token=cache_token,
+        if not isinstance(dataset, PartitionedDataset):
+            raise TypeError(
+                f"telemetry_series needs a PartitionedDataset, got "
+                f"{type(dataset).__name__}"
             )
-            return self.cluster_series(coarse, value=value, cache_token=cache_token)
-
-        task = _FusedChunk(
-            _CoarsenChunk(values, width, by, time, drop_nan, presorted),
-            value,
-            dataset=telemetry if is_dataset else None,
-            columns=projection if is_dataset else None,
-            t_range=t_range if is_dataset else None,
+        plan = plan_query(
+            Query(
+                t_begin=t_begin, t_end=t_end, metrics=(value,),
+                width=SUMMIT.coarsen_window_s if width is None else width,
+            ),
+            dataset,
         )
-        if is_dataset:
-            if t_range is not None:
-                items: list = telemetry.select_time(
-                    t_range[0], t_range[1], time=time
-                )
-            else:
-                items = list(range(telemetry.n_partitions))
-            chunk_ids = items
-            rows_in = sum(telemetry.partitions[i].n_rows for i in items)
-        else:
-            work = telemetry.select(projection)
-            t = np.asarray(work[time], dtype=np.float64)
-            if t_range is not None:
-                work = work.filter((t >= t_range[0]) & (t < t_range[1]))
-                t = np.asarray(work[time], dtype=np.float64)
-            eff_chunk = max(
-                width, np.floor(self.config.chunk_seconds / width) * width
-            )
-            win = np.floor(t / eff_chunk).astype(np.int64)
-            uniq = np.unique(win)
-            items = [work.filter(win == k) for k in uniq]
-            chunk_ids = [int(k) for k in uniq]
-            rows_in = work.n_rows
-
+        tasks = plan.tasks()
         keys = None
         if self.cache is not None and cache_token is not None:
-            t_key = None if t_range is None else [
-                repr(float(t_range[0])), repr(float(t_range[1]))
-            ]
             keys = [
-                cache_key(
-                    cache_token, stage="fused", values=list(values),
-                    width=width, by=list(by), time=time, drop_nan=drop_nan,
-                    value=value, window=k, projection=projection,
-                    t_range=t_key,
+                None if task.fragment_key is None else cache_key(
+                    cache_token, stage="series", fragment=task.fragment_key,
+                    lo=task.lo, hi=task.hi,
                 )
-                for k in chunk_ids
+                for task in tasks
             ]
-
-        results: list[Table | None] = [None] * len(items)
-        hits = 0
-        t0 = _time.perf_counter()
-        if keys is not None:
-            for idx, key in enumerate(keys):
-                got = self.cache.get(key)
-                if got is not None:
-                    results[idx] = got
-                    hits += 1
-        lookup_s = _time.perf_counter() - t0
-
-        miss_idx = [i for i, r in enumerate(results) if r is None]
-        wall = lookup_s
-        bytes_out = 0
-        sub_wall = [0.0, 0.0, 0.0]  # read, coarsen, aggregate
-        coarse_rows = 0
-        if miss_idx:
-            with trace.span("pipeline.stage", stage="fused",
-                            items=len(items), cache_hits=hits,
-                            misses=len(miss_idx)):
-                outs = self.executor.map(
-                    task, [items[i] for i in miss_idx], label="fused"
-                )
-            for i, (series, timings, n_coarse) in zip(miss_idx, outs):
-                results[i] = series
-                wall += sum(timings)
-                for j in range(3):
-                    sub_wall[j] += timings[j]
-                coarse_rows += n_coarse
-                if keys is not None:
-                    bytes_out += self.cache.put(keys[i], series)
-
-        tables: list[Table] = results  # type: ignore[assignment]
-        self.stats.record(
-            "fused",
-            wall_s=wall,
-            calls=len(miss_idx),
-            rows_in=rows_in,
-            rows_out=sum(x.n_rows for x in tables),
-            bytes_out=bytes_out,
-            cache_hits=hits,
-            cache_misses=len(miss_idx) if keys is not None else 0,
+        parts = self._run_stage(
+            "series", tasks, lambda: plan.run_task, keys,
+            rows_in=plan.rows_in,
         )
-        if miss_idx:
-            # nested per-substage accounting (indented in the report)
-            if is_dataset:
-                self.stats.record(
-                    "fused/read", wall_s=sub_wall[0], calls=len(miss_idx),
-                    rows_out=rows_in,
-                )
-            self.stats.record(
-                "fused/coarsen", wall_s=sub_wall[1], calls=len(miss_idx),
-                rows_in=rows_in, rows_out=coarse_rows,
-            )
-            self.stats.record(
-                "fused/aggregate", wall_s=sub_wall[2], calls=len(miss_idx),
-                rows_in=coarse_rows,
-                rows_out=sum(x.n_rows for x in tables),
-            )
-
-        tables = [x for x in tables if x.n_rows]
-        if not tables:
-            table = telemetry.to_table() if is_dataset else telemetry
-            series, _, _ = _FusedChunk(task.coarsen, value)(table)
-            return series
-        return concat(tables).sort("timestamp")
+        return plan.finalize(parts)
 
     # ---------------- live streaming route ----------------
 
@@ -722,8 +433,9 @@ class Pipeline:
         pipeline runs: replay source -> online coarsen -> running cluster
         aggregate -> {edge detector, rolling PUE, online spectral}.  With
         ``skew=False`` (and no loss events) the streamed results are
-        bit-identical to :meth:`coarsen` / :meth:`cluster_series` on the
-        sorted telemetry; the default ``lateness_s`` of 8 s covers the
+        bit-identical to :func:`~repro.core.coarsen.coarsen_telemetry` /
+        :func:`~repro.core.aggregate.cluster_power_series` on the sorted
+        telemetry; the default ``lateness_s`` of 8 s covers the
         fan-in path's maximum skew so nothing is late under ``skew=True``
         either.  Returns the un-run :class:`~repro.stream.runtime.StreamGraph`.
         """

@@ -133,7 +133,7 @@ class PipelineStats:
         """Rendered per-stage counter table plus the cache roll-up line."""
         rows = []
         for st in self.stages.values():
-            # "parent/child" names are nested sub-steps of a fused stage:
+            # "parent/child" names are nested sub-steps of a stage:
             # indent them under their parent row
             shown = st.name
             if "/" in shown:

@@ -10,16 +10,18 @@ Planning reuses the whole pushdown stack the batch pipeline built:
   ``by`` column's zones;
 * **projection** — only ``by`` + ``time`` + the requested metrics are read
   from each surviving shard (zero-copy column maps on ``.rcs``);
-* **kernels** — per-shard work is exactly the fused pipeline's sequence
-  (:func:`~repro.core.coarsen.coarsen_telemetry` then
-  :func:`~repro.core.aggregate.cluster_power_series`), so a cluster-level
-  plan's result is **bit-identical** to
-  :meth:`repro.pipeline.runner.Pipeline.telemetry_series` for the same
-  selection (asserted by ``tests/serve`` and the service benchmark).
+* **kernels** — :meth:`QueryPlan.run_shard_table` is the one place a
+  shard becomes a series: :func:`~repro.core.coarsen.coarsen_telemetry`
+  then :func:`~repro.core.aggregate.cluster_power_series`, so a
+  cluster-level plan's result is **bit-identical** to that single-pass
+  chain over the same selection (asserted by ``tests/serve`` and the
+  service benchmark).
 
 Shard tasks (:meth:`QueryPlan.tasks`) are independent and side-effect
-free, so the server fans them out across a worker pool; the tiny
-per-shard results are merged by :meth:`QueryPlan.finalize` on the way out.
+free, so the server fans them out across a worker pool — and
+:meth:`repro.pipeline.runner.Pipeline.telemetry_series` maps them through
+the batch executor; the tiny per-shard results are merged by
+:meth:`QueryPlan.finalize` on the way out.
 
 Each task also carries its **fragment identity** — whether the shard's
 full-shard aggregate (its *fragment*) can stand in for the task's answer,
@@ -235,9 +237,10 @@ class QueryPlan:
         return fragment if mask.all() else fragment.filter(mask)
 
     def run_task(self, task: ShardTask) -> Table:
-        """Execute one task directly (no fragment cache involved — the
-        service layers caching on top via :meth:`run_fragment` +
-        :meth:`slice_fragment` for ``full``/``aligned`` tasks)."""
+        """Execute one task directly (no cache involved — the service
+        layers its fragment cache on top via :meth:`run_fragment` +
+        :meth:`slice_fragment`, the batch pipeline its artifact cache, both
+        for ``full``/``aligned`` tasks only)."""
         if task.coverage == "raw":
             return self._filter_nodes(
                 self.dataset.read_time_range_merged(

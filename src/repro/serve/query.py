@@ -13,8 +13,10 @@ Levels
 ``cluster``
     Coarsened per-node stats collapsed across nodes per window — the
     Dataset 1 shape (``timestamp, count_inp, sum_inp, mean_inp, max_inp``),
-    bit-identical to :meth:`repro.pipeline.runner.Pipeline.telemetry_series`
-    for the same selection.  Exactly one metric.
+    bit-identical to the single-pass
+    ``cluster_power_series(coarsen_telemetry(...))`` of the same selection;
+    :meth:`repro.pipeline.runner.Pipeline.telemetry_series` compiles to this
+    level.  Exactly one metric.
 ``node``
     The coarsened per-node table (Dataset 0 shape): ``count/min/max/mean/
     std`` per metric per (node, window).
@@ -24,6 +26,7 @@ Levels
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from repro.config import SUMMIT
@@ -57,12 +60,12 @@ def _int_tuple(values, label: str) -> tuple[int, ...] | None:
 class Query:
     """One declarative request against a telemetry store.
 
-    ``t_begin``/``t_end`` bound the half-open time range (None = open
-    end); ``nodes`` and ``cabinets`` select rows (a cabinet expands to its
-    node range; both given = the union); ``metrics`` are the value columns
-    to coarsen; ``width`` is the coarsen window; ``level`` the aggregation
-    level; ``derived`` an optional derived series (``"pue"`` appends
-    instantaneous PUE columns to a cluster-level result, with
+    ``t_begin``/``t_end`` bound the half-open time range (finite; None =
+    open end); ``nodes`` and ``cabinets`` select rows (a cabinet expands to
+    its node range; both given = the union); ``metrics`` are the value
+    columns to coarsen; ``width`` is the coarsen window; ``level`` the
+    aggregation level; ``derived`` an optional derived series (``"pue"``
+    appends instantaneous PUE columns to a cluster-level result, with
     ``pue_overhead`` the memoryless facility-overhead fraction — the same
     stand-in :class:`repro.stream.operators.StreamingPUE` uses).
     """
@@ -107,6 +110,10 @@ class Query:
             )
         if not self.metrics:
             raise QueryError("at least one metric is required")
+        for name in ("t_begin", "t_end", "width"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise QueryError(f"{name} must be finite, got {v}")
         if self.width <= 0:
             raise QueryError(f"width must be positive, got {self.width}")
         if (

@@ -214,7 +214,7 @@ class QueryService:
         st = self.admission.tenant(tenant)
         st.queries += 1
         try:
-            if isinstance(query, dict):
+            if not isinstance(query, Query):
                 query = Query.from_dict(query)
             query.validate()
             key = query.fingerprint()
@@ -603,25 +603,20 @@ class TelemetryServer:
             return {"status": "ok", "op": "stats",
                     "stats": self.service.snapshot()}
         if op == "query":
+            tenant = req.get("tenant", "default")
+            if not isinstance(tenant, str):
+                return {"status": "error",
+                        "error": f"tenant must be a string, got "
+                                 f"{type(tenant).__name__}"}
+            query = req.get("query")
             # the table stays live here; _respond's encode step (possibly
             # on the worker pool) converts it to wire form
             return dict(
                 await self.service.query(
-                    req.get("query") or {}, tenant=req.get("tenant", "default")
+                    {} if query is None else query, tenant=tenant
                 )
             )
         return {"status": "error", "error": f"unknown op {op!r}"}
-
-    async def _dispatch(self, line: bytes) -> dict:
-        """Parse and dispatch one request line (kept for in-process use
-        and tests; the connection handler goes through :meth:`_respond`)."""
-        try:
-            req = json.loads(line)
-        except json.JSONDecodeError as err:
-            return {"status": "error", "error": f"bad JSON request: {err}"}
-        if not isinstance(req, dict):
-            return {"status": "error", "error": "request must be an object"}
-        return await self._dispatch_op(req.get("op", "query"), req)
 
     @staticmethod
     def _encode(resp: dict) -> bytes:

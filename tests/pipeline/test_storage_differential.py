@@ -4,7 +4,8 @@ One hour of twin telemetry is written as three byte-different stores —
 compressed ``.rcs`` (per-column codecs), raw ``.rcs`` (the PR 4 layout),
 and ``.npz`` — and every pipeline route over them must produce results
 bit-identical to each other and to the single-pass reference: batch
-(fused and unfused), threads and processes backends, projection +
+(one task per shard, and node-level coarsening followed by the
+single-pass collapse), threads and processes backends, projection +
 time-range pushdown, the streaming engine, and warm artifact caches
 (whose keys are proven disjoint across storage configs and
 ``CACHE_FORMAT_VERSION`` bumps, so no stale artifact can ever leak
@@ -71,11 +72,10 @@ def stores(telemetry, tmp_path_factory):
 
 
 def series_over(store, twin, cache_token=None, **cfg):
-    defaults = dict(chunk_seconds=900.0, backend="serial", fuse=True)
+    defaults = dict(backend="serial")
     defaults.update(cfg)
     pipe = Pipeline(twin, PipelineConfig(**defaults))
-    got = pipe.telemetry_series(store, ["input_power"],
-                                cache_token=cache_token)
+    got = pipe.telemetry_series(store, cache_token=cache_token)
     return got, pipe
 
 
@@ -87,8 +87,12 @@ class TestBatchRoutes:
 
     @pytest.mark.parametrize("kind", STORES)
     def test_unfused(self, stores, twin_small, single_pass, kind):
-        got, _ = series_over(stores[kind], twin_small, fuse=False)
-        assert_tables_equal(got, single_pass)
+        # coarsen and aggregate as separate steps: the node-level plan,
+        # then the single-pass collapse
+        from repro.serve import Query, plan_query
+
+        coarse = plan_query(Query(level="node"), stores[kind]).execute()
+        assert_tables_equal(cluster_power_series(coarse), single_pass)
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_compressed_store_backends(self, stores, twin_small,
@@ -109,18 +113,21 @@ class TestBatchRoutes:
 
 class TestPushdownRoutes:
     def test_time_range_pushdown_identical_across_stores(self, stores,
-                                                         twin_small):
-        results = {}
-        for kind in STORES:
-            pipe = Pipeline(twin_small, PipelineConfig(
-                chunk_seconds=900.0, backend="serial", fuse=True))
-            results[kind] = pipe.telemetry_series(
-                stores[kind], ["input_power"],
-                t_begin=1000.0, t_end=2600.0,
-            )
-        assert results["compressed"].n_rows > 0
-        assert_tables_equal(results["compressed"], results["raw"])
-        assert_tables_equal(results["compressed"], results["npz"])
+                                                         twin_small,
+                                                         telemetry):
+        # grid-aligned and unaligned bounds, neither on a shard edge
+        t = telemetry["timestamp"]
+        for t0, t1 in [(1000.0, 2600.0), (1003.5, 2601.25)]:
+            ref = cluster_power_series(coarsen_telemetry(
+                telemetry.filter((t >= t0) & (t < t1)), ["input_power"],
+                width=10.0,
+            ))
+            assert ref.n_rows > 0
+            for kind in STORES:
+                pipe = Pipeline(twin_small, PipelineConfig(backend="serial"))
+                got = pipe.telemetry_series(stores[kind], t_begin=t0,
+                                            t_end=t1)
+                assert_tables_equal(got, ref)
 
     def test_zone_pruned_scan_identical(self, stores):
         picks = {
@@ -159,32 +166,32 @@ class TestCacheIsolation:
     def test_warm_cache_per_store_config(self, stores, twin_small,
                                          single_pass, tmp_path):
         cache_dir = tmp_path / "cache"
-        cfg = dict(chunk_seconds=900.0, backend="serial", fuse=True,
-                   cache_dir=cache_dir, cache_token="tel-hour")
+        cfg = dict(backend="serial", cache_dir=cache_dir,
+                   cache_token="tel-hour")
         # pin both storage configs: the ambient env (e.g. CI's
         # compression-off job) must not collapse the two key spaces
         with patch.dict(os.environ, {"REPRO_RCS_COMPRESSION": "auto"}):
             cold, pipe_cold = series_over(stores["compressed"], twin_small,
                                           **cfg)
-            assert pipe_cold.stats.stage("fused").cache_misses > 0
+            assert pipe_cold.stats.stage("series").cache_misses > 0
             warm, pipe_warm = series_over(stores["compressed"], twin_small,
                                           **cfg)
-        assert pipe_warm.stats.stage("fused").cache_misses == 0
+        assert pipe_warm.stats.stage("series").cache_misses == 0
         assert_tables_equal(warm, single_pass)
         # raw-layout run shares the directory but not the artifacts:
         # the storage config is folded into every key
         with patch.dict(os.environ, {"REPRO_RCS_COMPRESSION": "off"}):
             raw, pipe_raw = series_over(stores["raw"], twin_small, **cfg)
-        assert pipe_raw.stats.stage("fused").cache_hits == 0
-        assert pipe_raw.stats.stage("fused").cache_misses > 0
+        assert pipe_raw.stats.stage("series").cache_hits == 0
+        assert pipe_raw.stats.stage("series").cache_misses > 0
         assert_tables_equal(raw, single_pass)
 
     def test_format_version_bump_invalidates(self, stores, twin_small,
                                              single_pass, tmp_path):
         import repro.pipeline.cache as cache_mod
 
-        cfg = dict(chunk_seconds=900.0, backend="serial", fuse=True,
-                   cache_dir=tmp_path / "cache", cache_token="tel-hour")
+        cfg = dict(backend="serial", cache_dir=tmp_path / "cache",
+                   cache_token="tel-hour")
         with patch.object(cache_mod, "CACHE_FORMAT_VERSION",
                           cache_mod.CACHE_FORMAT_VERSION - 1):
             old, _ = series_over(stores["compressed"], twin_small, **cfg)
@@ -192,7 +199,7 @@ class TestCacheIsolation:
         # same store, bumped version: every artifact re-addresses (no
         # stale pre-bump artifact is ever served)...
         bumped, pipe = series_over(stores["compressed"], twin_small, **cfg)
-        assert pipe.stats.stage("fused").cache_hits == 0
-        assert pipe.stats.stage("fused").cache_misses > 0
+        assert pipe.stats.stage("series").cache_hits == 0
+        assert pipe.stats.stage("series").cache_misses > 0
         # ...and the output is bit-identical anyway
         assert_tables_equal(bumped, old)

@@ -2,8 +2,8 @@
 bit-identity battery.
 
 The load-bearing property: every answer the fragment-cached service gives
-is **bit-identical** to the direct plan execution and to the batch
-pipeline — for random overlapping query sequences, with the cache on or
+is **bit-identical** to the direct plan execution and to the single-pass
+coarsen + aggregate — for random overlapping query sequences, with the cache on or
 off, and across a concurrent ``compact()`` (generation-carrying fragment
 keys must make stale reuse impossible).
 """
@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.aggregate import cluster_power_series
+from repro.core.coarsen import coarsen_telemetry
 from repro.frame.table import Table
 from repro.parallel.partition import PartitionedDataset
-from repro.pipeline import Pipeline, PipelineConfig
 from repro.serve import (
     FragmentCache,
     Query,
@@ -175,7 +176,7 @@ class TestServiceEquivalence:
             svc_on.close()
             svc_off.close()
 
-    def test_full_range_matches_pipeline(self, dataset):
+    def test_full_range_matches_single_pass(self, dataset):
         svc = make_service(dataset)
         try:
             resp = run(answer(
@@ -183,11 +184,12 @@ class TestServiceEquivalence:
             ))
         finally:
             svc.close()
-        pipe = Pipeline(SPEC, PipelineConfig(backend="serial"))
-        ref = pipe.telemetry_series(
-            dataset, value="input_power", width=10.0,
-            t_begin=0.0, t_end=SPEC.horizon_s,
-        )
+        table = dataset.to_table()
+        t = np.asarray(table["timestamp"])
+        ref = cluster_power_series(coarsen_telemetry(
+            table.filter((t >= 0.0) & (t < SPEC.horizon_s)),
+            ["input_power"], width=10.0,
+        ))
         assert resp["table"] == ref
 
     def test_concurrent_overlap_shares_flights(self, dataset):

@@ -1,5 +1,5 @@
-"""Planner correctness: pushdown pruning and bit-identity with the batch
-pipeline's kernels (the service must be a different *route* to the same
+"""Planner correctness: pushdown pruning and bit-identity with the
+single-pass kernels (the planner must be a different *route* to the same
 numbers, never a different answer)."""
 
 import numpy as np
@@ -8,7 +8,6 @@ import pytest
 from repro.core.aggregate import cluster_power_series
 from repro.core.coarsen import coarsen_telemetry
 from repro.core.pue import pue_series
-from repro.pipeline import Pipeline, PipelineConfig
 from repro.serve import Query, QueryError, plan_query
 
 from .conftest import SPEC, SHARD_S
@@ -27,15 +26,13 @@ def _reference_cluster(telemetry, t0, t1, width=10.0, nodes=None,
 
 
 class TestBitIdentity:
-    def test_cluster_matches_pipeline_fused_path(self, dataset):
-        """Acceptance criterion: service plan == Pipeline.telemetry_series
-        bit-for-bit over the same archived dataset."""
+    def test_full_range_matches_single_pass(self, dataset):
+        """Acceptance criterion: service plan == single-pass coarsen +
+        aggregate bit-for-bit over everything the dataset archived."""
         out = plan_query(
             Query(t_begin=0.0, t_end=SPEC.horizon_s, width=10.0), dataset
         ).execute()
-        pipe = Pipeline(SPEC, PipelineConfig(backend="serial"))
-        ref = pipe.telemetry_series(dataset, value="input_power", width=10.0,
-                                    t_begin=0.0, t_end=SPEC.horizon_s)
+        ref = _reference_cluster(dataset.to_table(), 0.0, SPEC.horizon_s)
         assert out == ref
 
     def test_cluster_matches_single_pass(self, dataset, telemetry):

@@ -54,6 +54,12 @@ class TestValidation:
         dict(derived="pue", level="node",
              metrics=("input_power",)),
         dict(derived="pue", pue_overhead=-0.5),
+        dict(t_begin=float("nan")),
+        dict(t_end=float("nan")),
+        dict(width=float("nan")),
+        dict(t_begin=float("-inf")),
+        dict(t_end=float("inf")),
+        dict(width=float("inf")),
     ])
     def test_rejects(self, bad):
         kw = dict(metrics=("input_power",))

@@ -273,3 +273,40 @@ class TestTCP:
         out = run(main())
         assert out["err"]["status"] == "error"
         assert out["after"] is True
+
+    @pytest.mark.parametrize("envelope", [
+        {"op": "query", "query": [1, 2]},
+        {"op": "query", "query": "x"},
+        {"op": "query", "query": 7},
+        {"op": "query", "query": {}, "tenant": {"a": 1}},
+        {"op": "query", "query": {}, "tenant": 3},
+    ])
+    def test_malformed_envelope_is_one_error_line(self, service, envelope):
+        """A non-object query or a non-string tenant is answered with one
+        error line, and the same connection keeps serving."""
+        import json
+
+        async def main():
+            server = TelemetryServer(service)
+            host, port = await server.start()
+            out = {}
+
+            def client_side():
+                with QueryClient(host, port) as c:
+                    c._file.write(json.dumps(envelope).encode() + b"\n")
+                    c._file.flush()
+                    out["err"] = json.loads(c._file.readline())
+                    out["after"] = c.ping()
+
+            worker = threading.Thread(target=client_side)
+            worker.start()
+            while worker.is_alive():
+                await asyncio.sleep(0.02)
+            worker.join()
+            await server.stop()
+            return out
+
+        out = run(main())
+        assert out["err"]["status"] == "error"
+        assert "error" in out["err"]
+        assert out["after"] is True

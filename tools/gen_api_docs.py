@@ -100,7 +100,9 @@ at once.  A declarative `Query` is validated and canonicalized (its
 SHA-256 fingerprint is spelling-invariant), planned into the storage
 pushdowns (zone-map shard pruning + column projection), and executed on
 an asyncio loop that offloads shard reads to a worker pool.  Results
-are bit-identical to `Pipeline.telemetry_series` over the same archive.
+are bit-identical to the single-pass `cluster_power_series(
+coarsen_telemetry(...))` over the same rows; `Pipeline.telemetry_series`
+runs this same plan on the batch executor.
 
 Load management is explicit: a byte-capped LRU **result cache** (with
 optional disk spill), **single-flight** collapse of concurrent
