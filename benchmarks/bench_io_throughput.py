@@ -26,6 +26,12 @@ Every read is forced to consume its bytes (column sums), so mmap
 laziness cannot fake a win; and every variant's table is asserted
 **bit-identical** across all three stores before any timing is trusted.
 
+Writes are timed too: each store's ``append`` wall seconds and its encode
+throughput (raw column MB per write second).  The ``rcs`` store is
+written a second time with its codec pool at width 1
+(``REPRO_MAX_WORKERS=1``), and every shard file must match the pooled
+write byte for byte.
+
 Anchored acceptance bars (hard at full scale, advisory below):
 
 * compressed ``.rcs`` bytes on disk  <  ``.npz`` bytes on disk;
@@ -60,6 +66,8 @@ STORES = {
     "rcs-raw": ("rcs", "off"),
     "npz": ("npz", "auto"),
 }
+#: the ``rcs`` store again, encoded with the codec pool at width 1
+SERIAL = "rcs-serial"
 
 
 def _smooth_channel(rng, n, slew=40):
@@ -69,11 +77,22 @@ def _smooth_channel(rng, n, slew=40):
 
 
 def build_datasets(root):
-    """Write the same shard tables into all three store configurations."""
+    """Write the same shard tables into every store configuration.
+
+    Returns the stores (the three of :data:`STORES` plus :data:`SERIAL`),
+    each store's total ``append`` seconds, and the raw column bytes one
+    store receives.
+    """
+    writes = {key: (fmt, {"REPRO_RCS_COMPRESSION": mode})
+              for key, (fmt, mode) in STORES.items()}
+    writes[SERIAL] = ("rcs", {"REPRO_RCS_COMPRESSION": "auto",
+                              "REPRO_MAX_WORKERS": "1"})
     stores = {
         key: PartitionedDataset.create(root / key, f"wide-{key}")
-        for key in STORES
+        for key in writes
     }
+    write_s = dict.fromkeys(writes, 0.0)
+    raw_bytes = 0
     rng = np.random.default_rng(42)
     span = float(ROWS_PER_SHARD)
     for i in range(N_SHARDS):
@@ -89,10 +108,22 @@ def build_datasets(root):
             else:
                 cols[f"m{c:02d}"] = _smooth_channel(rng, ROWS_PER_SHARD)
         table = Table(cols)
-        for key, (fmt, mode) in STORES.items():
-            with patch.dict(os.environ, {"REPRO_RCS_COMPRESSION": mode}):
+        raw_bytes += table.nbytes()
+        for key, (fmt, env) in writes.items():
+            with patch.dict(os.environ, env):
+                w0 = time.perf_counter()
                 stores[key].append(table, t0, t0 + span, fmt=fmt)
-    return stores
+                write_s[key] += time.perf_counter() - w0
+    return stores, write_s, raw_bytes
+
+
+def same_shard_bytes(a, b) -> bool:
+    """True when two stores hold byte-identical shard files."""
+    names = [p.filename for p in a.partitions]
+    return names == [p.filename for p in b.partitions] and all(
+        (a.root / n).read_bytes() == (b.root / n).read_bytes()
+        for n in names
+    )
 
 
 def evict(ds) -> None:
@@ -164,7 +195,9 @@ def _assert_tables_identical(a, b, label):
 
 
 def test_io_throughput(tmp_path):
-    datasets = build_datasets(tmp_path)
+    datasets, write_s, raw_bytes = build_datasets(tmp_path)
+    serial = datasets.pop(SERIAL)
+    pooled_is_serial = same_shard_bytes(datasets["rcs"], serial)
     n_rows = datasets["rcs"].n_rows
     # the one-shard probe window: zone maps must skip the other 7 shards
     span = float(ROWS_PER_SHARD)
@@ -256,10 +289,20 @@ def test_io_throughput(tmp_path):
         f"\ncompressed/raw cold read: {cold_ratio:.2f}x"
         f" (budget {COLD_READ_BUDGET:.1f}x)"
         f"\nprojected rcs vs full npz (cold): {speedup:.1f}x"
-        f"\ncolumn codecs: {codec_census}\n"
+        f"\ncolumn codecs: {codec_census}"
+        + "".join(
+            f"\nwrite {key}: {write_s[key]:.3f} s,"
+            f" encode {raw_bytes / 1e6 / write_s[key]:.1f} MB/s"
+            for key in STORES
+        )
+        + f"\nwrite rcs at REPRO_MAX_WORKERS=1: {write_s[SERIAL]:.3f} s"
+        f" ({write_s[SERIAL] / write_s['rcs']:.2f}x the pooled write)"
+        f"\npooled == serial shard bytes:"
+        f" {'yes' if pooled_is_serial else 'no'}\n"
     )
     emit("io_throughput", main + footer)
 
+    assert pooled_is_serial, "codec pool width changed the shard bytes"
     # tentpole acceptance bars (see module docstring)
     anchor(
         b_rcs < b_npz,

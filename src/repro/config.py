@@ -9,6 +9,7 @@ preserved under scaling because all per-node quantities are intensive.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 
@@ -211,3 +212,21 @@ def fahrenheit_to_celsius(f: float) -> float:
 def celsius_to_fahrenheit(c: float) -> float:
     """Convert Celsius to Fahrenheit."""
     return c * 9.0 / 5.0 + 32.0
+
+
+def max_workers_cap() -> int | None:
+    """The ``REPRO_MAX_WORKERS`` pool-size cap, or None when unset.
+
+    One parser for every pool that honours the cap (the executor and the
+    ``.rcs`` codec pool): values below 1 clamp to 1, and anything that is
+    not an integer raises ``ValueError``.
+    """
+    cap = os.environ.get("REPRO_MAX_WORKERS")
+    if not cap:
+        return None
+    try:
+        return max(1, int(cap))
+    except ValueError:
+        raise ValueError(
+            f"REPRO_MAX_WORKERS must be an integer, got {cap!r}"
+        ) from None

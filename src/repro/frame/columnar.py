@@ -25,11 +25,14 @@ Reads go through ``numpy.memmap``: :meth:`RcsFile.read` returns a
 mapped file — no bytes are copied, and a two-column projection of a
 hundred-column shard maps (at most) two columns' pages.  **Encoded**
 columns are decoded into fresh process-local arrays (cached per reader, so
-a time-range probe never decodes the time column twice) and decode fans
-out over a small thread pool on multi-core machines — zlib inflation
-releases the GIL.  Lifetime of the raw views is handled twice over: every
-view's ``base`` chain pins the mapping, and the table additionally retains
-the :class:`RcsFile` via :meth:`~repro.frame.table.Table.retain`.
+a time-range probe never decodes the time column twice).  A shard's
+columns encode on write and decode on read through one codec pool
+(:func:`_codec_map`): a thread pool created per call, as wide as the
+machine's cores capped by ``REPRO_MAX_WORKERS`` — zlib deflation and
+inflation release the GIL.  Lifetime of the raw views is handled twice
+over: every view's ``base`` chain pins the mapping, and the table
+additionally retains the :class:`RcsFile` via
+:meth:`~repro.frame.table.Table.retain`.
 
 Anything structurally wrong — truncated file, flipped footer byte, codec
 payload CRC mismatch, out-of-range dictionary code, impossible column
@@ -53,6 +56,7 @@ arrive.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import mmap
 import os
@@ -63,6 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.config import max_workers_cap
 from repro.frame.encodings import (
     CODECS,
     ColumnarFormatError,
@@ -71,6 +76,7 @@ from repro.frame.encodings import (
     encode_column,
 )
 from repro.frame.table import Table
+from repro.obs import trace
 
 __all__ = [
     "RCS_MAGIC",
@@ -176,6 +182,46 @@ def _pad(n: int) -> int:
     return (-n) % _ALIGN
 
 
+def _codec_workers(n_items: int) -> int:
+    """Codec pool width: the core count capped by ``REPRO_MAX_WORKERS``
+    and by the number of columns to encode or decode, at least 1."""
+    workers = os.cpu_count() or 1
+    cap = max_workers_cap()
+    if cap is not None:
+        workers = min(workers, cap)
+    return max(1, min(workers, n_items))
+
+
+def _codec_map(name: str, fn, items: list) -> list:
+    """``[fn(item) for item in items]`` on the codec pool, in item order.
+
+    The pool is a thread pool created per call (a module-level pool
+    would not survive the process backend's ``fork``) and sized by
+    :func:`_codec_workers`; one item or width 1 runs serially.  Under
+    tracing the call is one ``name`` span and each item an
+    ``rcs.column`` child pinned to its index (``_seq``), opened on the
+    serial path too, so span ids do not depend on the pool width.  Each
+    pool task runs in a copy of the caller's context, so its spans reach
+    the caller's capture list (process-backend workers).
+    """
+    with trace.span(name, columns=len(items)) as sp:
+        ctx = sp.context
+
+        def task(i: int, item):
+            with trace.span("rcs.column", _parent=ctx, _seq=i, index=i):
+                return fn(item)
+
+        workers = _codec_workers(len(items))
+        if workers == 1:
+            return [task(i, item) for i, item in enumerate(items)]
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [
+                pool.submit(contextvars.copy_context().run, task, i, item)
+                for i, item in enumerate(items)
+            ]
+            return [f.result() for f in futures]
+
+
 def save_rcs(
     table: Table,
     path: str | os.PathLike,
@@ -190,7 +236,10 @@ def save_rcs(
     default, overridable via ``REPRO_RCS_COMPRESSION``), as the smallest
     applicable codec from :mod:`repro.frame.encodings` — recorded
     per-column in the footer so decode is self-describing.  A column no
-    codec shrinks stays raw and keeps its zero-copy read path.  ``zones``
+    codec shrinks stays raw and keeps its zero-copy read path.  The
+    columns encode concurrently on the codec pool (:func:`_codec_map`);
+    each column's codec choice is independent of the others, so the file
+    bytes are the same at every pool width.  ``zones``
     lets a caller that already computed :func:`zone_map` skip the second
     pass.  With ``atomic`` the shard is written to a same-directory temp
     file, fsynced, and renamed into place, so concurrent readers never
@@ -206,14 +255,21 @@ def save_rcs(
             f"compression must be 'auto' or 'off', got {mode!r}"
         )
 
-    cols_meta: list[dict] = []
-    buffers: list[bytes] = []
-    offset = len(RCS_MAGIC2) + _pad(len(RCS_MAGIC2))
+    cols: list[np.ndarray] = []
     for name in table.columns:
         col = np.ascontiguousarray(table[name])
         if col.dtype.byteorder == ">":  # normalize to little-endian
             col = col.astype(col.dtype.newbyteorder("<"))
-        encoded = encode_column(col, mode=mode)
+        cols.append(col)
+    # looked up at call time, so a patched ``encode_column`` is seen
+    encodings = _codec_map(
+        "rcs.encode", lambda col: encode_column(col, mode=mode), cols
+    )
+
+    cols_meta: list[dict] = []
+    buffers: list[bytes] = []
+    offset = len(RCS_MAGIC2) + _pad(len(RCS_MAGIC2))
+    for name, col, encoded in zip(table.columns, cols, encodings):
         meta = {"name": name, "dtype": col.dtype.str, "offset": offset,
                 "zone": zones[name]}
         if encoded is None:
@@ -256,18 +312,6 @@ def save_rcs(
         if tmp.exists():  # pragma: no cover - only on a failed write
             tmp.unlink()
     return path.stat().st_size
-
-
-def _decode_workers(n_encoded: int) -> int:
-    """Thread-pool width for decoding one read's encoded columns."""
-    cap = os.environ.get("REPRO_MAX_WORKERS")
-    workers = os.cpu_count() or 1
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, min(workers, n_encoded))
 
 
 class RcsFile:
@@ -488,13 +532,12 @@ class RcsFile:
         """A table of the requested columns (default: all).
 
         Raw columns are zero-copy views over the mapping; encoded columns
-        decode into cached process-local arrays — fanned out over a small
-        thread pool when several need decoding on a multi-core machine
-        (inflation releases the GIL).  ``rows`` slices every column
-        (views of views on the raw path).  The returned table retains
-        this reader, and each raw view's ``base`` chain pins the mapping,
-        so it outlives both this object and — on POSIX — the directory
-        entry itself.
+        decode into cached process-local arrays on the codec pool
+        (:func:`_codec_map`; inflation releases the GIL).  ``rows``
+        slices every column (views of views on the raw path).  The
+        returned table retains this reader, and each raw view's ``base``
+        chain pins the mapping, so it outlives both this object and — on
+        POSIX — the directory entry itself.
         """
         names = self.columns if columns is None else list(columns)
         missing = [n for n in names if n not in self._cols]
@@ -506,9 +549,8 @@ class RcsFile:
             n for n in names
             if "enc" in self._cols[n] and n not in self._decoded
         ]
-        if len(pending) > 1 and _decode_workers(len(pending)) > 1:
-            with ThreadPoolExecutor(_decode_workers(len(pending))) as pool:
-                list(pool.map(self._decode, pending))
+        if pending:
+            _codec_map("rcs.decode", self._decode, pending)
         mm = self._mapping()
         cols: dict[str, np.ndarray] = {}
         for name in names:

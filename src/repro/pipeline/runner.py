@@ -450,13 +450,15 @@ class Pipeline:
             TelemetryReplaySource,
         )
 
-        source = TelemetryReplaySource(
-            telemetry,
-            batch_interval_s=batch_interval_s,
-            skew=skew,
-            seed=self.spec.seed if seed is None else seed,
-            loss_events=loss_events,
-        )
+        # the replay source sorts and skews the whole table up front
+        with trace.span("pipeline.stream_source"):
+            source = TelemetryReplaySource(
+                telemetry,
+                batch_interval_s=batch_interval_s,
+                skew=skew,
+                seed=self.spec.seed if seed is None else seed,
+                loss_events=loss_events,
+            )
         graph = StreamGraph(source, queue_capacity=queue_capacity)
         graph.add(
             StreamingCoarsen(values, lateness_s=lateness_s), collect=True

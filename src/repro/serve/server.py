@@ -488,6 +488,29 @@ class QueryService:
         return self.stats.report(self.admission)
 
 
+#: longest request line the server reads (the asyncio stream default);
+#: a longer line is skipped and answered with one error line
+REQUEST_LINE_LIMIT = 1 << 16
+
+
+async def _read_request(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line (``b""`` at EOF), or None for a line over
+    :data:`REQUEST_LINE_LIMIT` — read to its end and dropped, so the
+    connection stays in step with the client."""
+    overrun = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as err:
+            line = err.partial  # EOF: a last unterminated line still counts
+        except asyncio.LimitOverrunError as err:
+            # drop the buffered part and keep looking for the line's end
+            overrun = True
+            await reader.readexactly(err.consumed)
+            continue
+        return None if overrun else line
+
+
 class TelemetryServer:
     """Newline-delimited-JSON TCP front end over a :class:`QueryService`.
 
@@ -513,7 +536,7 @@ class TelemetryServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the bound (host, port)."""
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=REQUEST_LINE_LIMIT
         )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         return self.host, self.port
@@ -534,10 +557,17 @@ class TelemetryServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_request(reader)
+                if line is None:
+                    payload = self._encode({
+                        "status": "error",
+                        "error": f"request line exceeds the "
+                                 f"{REQUEST_LINE_LIMIT} byte limit",
+                    })
+                elif not line:
                     break
-                payload = await self._respond(line)
+                else:
+                    payload = await self._respond(line)
                 writer.write(payload)
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):

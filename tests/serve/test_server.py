@@ -18,6 +18,7 @@ from repro.serve import (
     table_from_wire,
     table_to_wire,
 )
+from repro.serve.server import REQUEST_LINE_LIMIT
 
 
 def run(coro):
@@ -309,4 +310,36 @@ class TestTCP:
         out = run(main())
         assert out["err"]["status"] == "error"
         assert "error" in out["err"]
+        assert out["after"] is True
+
+    @pytest.mark.parametrize("size", [REQUEST_LINE_LIMIT + 1,
+                                      5 * REQUEST_LINE_LIMIT])
+    def test_oversized_line_is_one_error_line(self, service, size):
+        """A request line over the reader's limit gets one error line
+        naming the limit, and the same connection answers ``ping``."""
+        import json
+
+        async def main():
+            server = TelemetryServer(service)
+            host, port = await server.start()
+            out = {}
+
+            def client_side():
+                with QueryClient(host, port) as c:
+                    c._file.write(b"x" * size + b"\n")
+                    c._file.flush()
+                    out["err"] = json.loads(c._file.readline())
+                    out["after"] = c.ping()
+
+            worker = threading.Thread(target=client_side)
+            worker.start()
+            while worker.is_alive():
+                await asyncio.sleep(0.02)
+            worker.join()
+            await server.stop()
+            return out
+
+        out = run(main())
+        assert out["err"]["status"] == "error"
+        assert str(REQUEST_LINE_LIMIT) in out["err"]["error"]
         assert out["after"] is True

@@ -124,6 +124,8 @@ SPECS: dict[str, list] = {
               r"compressed/npz bytes: [\d.]+ (\(must be < 1\))"),
         Exact("cold-read bound pinned",
               r"compressed/raw cold read: [\d.]+x (\(budget [\d.]+x\))"),
+        Exact("pooled == serial bytes",
+              r"pooled == serial shard bytes: (\w+)"),
     ],
     "stream_throughput": [
         Exact("replayed rows", r"replayed rows: (\d+)"),
