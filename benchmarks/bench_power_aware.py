@@ -17,19 +17,21 @@ from repro.datasets import cluster_power_direct
 from repro.frame.join import join
 from repro.machine import ChipPopulation
 from repro.workload import PowerAwareScheduler, schedule_jobs
+from tests.oracles.scheduler import ReferencePowerAwareScheduler
 
 
 def compare_engines(twin_day, machine_peak):
-    """Time the tightest cap (most veto/re-scan pressure) on both engine
-    paths and verify the event core changes nothing observable."""
+    """Time the tightest cap (most veto/re-scan pressure) on the event core
+    and the reference oracle, and verify the event core changes nothing
+    observable."""
     cat = twin_day.catalog
     cfg = twin_day.config
     horizon = twin_day.spec.horizon_s
     cap = 0.6 * machine_peak
     runs = {}
-    for engine in ("reference", "event"):
-        sched = PowerAwareScheduler(cap, cfg, seed=twin_day.spec.seed,
-                                    engine=engine)
+    for engine, cls in (("reference", ReferencePowerAwareScheduler),
+                        ("event", PowerAwareScheduler)):
+        sched = cls(cap, cfg, seed=twin_day.spec.seed)
         t0 = time.perf_counter()
         runs[engine] = (sched.run_capped(cat, horizon),
                         time.perf_counter() - t0)

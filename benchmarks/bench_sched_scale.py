@@ -17,9 +17,13 @@ implementations:
   degrades with size, so the printed speedup is a lower bound).
 * **Trace synthesis**: a class-5 fleet (many small jobs, the
   per-allocation-interpretation worst case) painted over five simulated
-  days; the seed-faithful loop engine (per-window noise redraws, one
+  days; the seed-faithful loop painter (per-window noise redraws, one
   Python iteration per active allocation) against the batched kernel
   path, bit-identity asserted on every array.
+
+Both seed implementations are the test oracles in ``tests/oracles/``
+(importable as ``tests.oracles`` with the repo root on ``sys.path``, as
+under ``python -m pytest``).
 * **Partitioned feed**: the largest schedule is streamed into a
   time-sharded ``PartitionedDataset`` and probed back, cross-checked
   against the in-memory interval index — the hand-off that lets the
@@ -46,6 +50,8 @@ from repro.workload import (
     schedule_to_partitioned,
     synthetic_catalog,
 )
+from tests.oracles.scheduler import ReferenceScheduler
+from tests.oracles.traces import paint_loop
 
 #: catalog sizes; the last is the paper-scale multi-year point
 POINTS = (20_000, 100_000, 1_000_000)
@@ -123,7 +129,7 @@ def run_scheduler_sweep():
     last = {}
     for n in sizes:
         cat, horizon = burst_catalog(n, seed=3)
-        ev = Scheduler(cat.config, seed=0, engine="event")
+        ev = Scheduler(cat.config, seed=0)
         t0 = time.perf_counter()
         ev_res = ev.run(cat, horizon * 1.1)
         ev_t = time.perf_counter() - t0
@@ -131,7 +137,7 @@ def run_scheduler_sweep():
         assert_op_counts(st, n, ev_res)
 
         if n <= REF_CEILING:
-            ref = Scheduler(cat.config, seed=0, engine="reference")
+            ref = ReferenceScheduler(cat.config, seed=0)
             t0 = time.perf_counter()
             ref_res = ref.run(cat, horizon * 1.1)
             ref_t = time.perf_counter() - t0
@@ -179,19 +185,16 @@ def run_trace_comparison():
     windows = [(start + i * window_s, start + (i + 1) * window_s)
                for i in range(n_windows)]
 
-    # noise_cache=False reproduces the seed's per-window noise redraws
-    loop_b = ClusterTraceBuilder(cat, sched, seed=0, engine="loop",
-                                 noise_cache=False)
-    batch_b = ClusterTraceBuilder(cat, sched, seed=0, engine="batch")
-
-    def build_all(builder):
-        return [builder.build(w0, w1, dt) for w0, w1 in windows]
+    # the loop oracle redraws noise per window, as the seed painter did;
+    # it never touches the builder's noise cache
+    builder = ClusterTraceBuilder(cat, sched, seed=0)
+    sched.nodes_of(-1)  # build the shared node index outside both timings
 
     t0 = time.perf_counter()
-    loop_out = build_all(loop_b)
+    loop_out = [paint_loop(builder, w0, w1, dt) for w0, w1 in windows]
     loop_t = time.perf_counter() - t0
     t0 = time.perf_counter()
-    batch_out = build_all(batch_b)
+    batch_out = [builder.build(w0, w1, dt) for w0, w1 in windows]
     batch_t = time.perf_counter() - t0
 
     ident = all(

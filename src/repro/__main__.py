@@ -230,6 +230,7 @@ def cmd_compact(args) -> int:
 
 def cmd_serve(args) -> int:
     import asyncio
+    import signal
 
     from repro.serve import QueryService, ServiceConfig, TelemetryServer
 
@@ -248,6 +249,11 @@ def cmd_serve(args) -> int:
     server = TelemetryServer(service, args.host, args.port)
 
     async def run() -> None:
+        # TERM ends serve_forever the way Ctrl-C does: by cancelling this
+        # task, so shutdown runs the same close/report/span-flush path
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         host, port = await server.start()
         ds = service.dataset
         frag = (f"fragment cache {args.fragment_mb} MiB"
@@ -263,7 +269,7 @@ def cmd_serve(args) -> int:
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     finally:
         service.close()

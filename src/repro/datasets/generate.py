@@ -30,13 +30,13 @@ from repro.machine.node import NodePowerModel
 from repro.machine.topology import Topology
 from repro.telemetry.collector import TelemetrySampler, LossEvent
 from repro.telemetry.msb import MsbMeters
-from repro.workload.apps import profile_utilization
 from repro.workload.jobs import JobCatalog, generate_jobs
 from repro.workload.scheduler import ScheduleResult, Scheduler, schedule_jobs
 from repro.workload.traces import (
     AllocationIntervalIndex,
     ClusterTraceBuilder,
-    NODE_NOISE_SIGMA,
+    allocation_component_power,
+    node_noise,
 )
 
 #: cap on the per-chunk component-array size in the direct path
@@ -215,9 +215,7 @@ def _job_series_block(
     nodes = schedule.nodes_of(aid)
     k_used = int(catalog.table["gpus_used"][row])
     n_nodes = len(nodes)
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A5E, aid]))
-    noise = 1.0 + rng.normal(0.0, NODE_NOISE_SIGMA, size=(n_nodes, 1))
+    noise = node_noise(seed, aid, n_nodes)
 
     chunk = max(1, _DIRECT_CHUNK_CELLS // (n_nodes * cfg.gpus_per_node))
     sums = np.empty(len(times))
@@ -226,16 +224,10 @@ def _job_series_block(
     cstats = {k: np.empty(len(times)) for k in _COMPONENT_COLS} if components else {}
     for c0 in range(0, len(times), chunk):
         c1 = min(c0 + chunk, len(times))
-        t_rel = times[c0:c1] - begin
-        cpu_u, gpu_u = profile_utilization(profile, t_rel, end - begin)
-        cu = np.clip(cpu_u[None, :] * noise, 0.0, 1.0)
-        gu = np.clip(gpu_u[None, :] * noise, 0.0, 1.0)
-        cpu_util = np.broadcast_to(
-            cu[:, None, :], (n_nodes, cfg.cpus_per_node, c1 - c0)
+        c_w, g_w = allocation_component_power(
+            model, profile, nodes, k_used, noise, times[c0:c1] - begin,
+            end - begin,
         )
-        gpu_util = np.zeros((n_nodes, cfg.gpus_per_node, c1 - c0))
-        gpu_util[:, :k_used, :] = gu[:, None, :]
-        c_w, g_w = model.component_power(nodes, cpu_util, gpu_util)
         cpu_node = c_w.sum(axis=1)
         gpu_node = g_w.sum(axis=1)
         inp = np.minimum(
@@ -371,22 +363,15 @@ def cluster_power_window(
         nodes = schedule.nodes_of(aid)
         k_used = int(catalog.table["gpus_used"][row])
         n_nodes = len(nodes)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A5E, aid]))
-        noise = 1.0 + rng.normal(0.0, NODE_NOISE_SIGMA, size=(n_nodes, 1))
+        noise = node_noise(seed, aid, n_nodes)
 
         chunk = max(1, _DIRECT_CHUNK_CELLS // (n_nodes * cfg.gpus_per_node))
         for c0 in range(i0, i1, chunk):
             c1 = min(c0 + chunk, i1)
-            t_rel = times[c0:c1] - begin
-            cpu_u, gpu_u = profile_utilization(profile, t_rel, end - begin)
-            cu = np.clip(cpu_u[None, :] * noise, 0.0, 1.0)
-            gu = np.clip(gpu_u[None, :] * noise, 0.0, 1.0)
-            cpu_util = np.broadcast_to(
-                cu[:, None, :], (n_nodes, cfg.cpus_per_node, c1 - c0)
+            c_w, g_w = allocation_component_power(
+                model, profile, nodes, k_used, noise, times[c0:c1] - begin,
+                end - begin,
             )
-            gpu_util = np.zeros((n_nodes, cfg.gpus_per_node, c1 - c0))
-            gpu_util[:, :k_used, :] = gu[:, None, :]
-            c_w, g_w = model.component_power(nodes, cpu_util, gpu_util)
             inp = np.minimum(
                 (c_w.sum(axis=1) + g_w.sum(axis=1) + cfg.node_other_w)
                 / cfg.psu_efficiency,

@@ -51,23 +51,9 @@ def schedule_to_partitioned(
     if shard_s <= 0:
         raise ValueError("need shard_s > 0")
     al = schedule.allocations
-    na = schedule.node_allocations
 
     order = np.argsort(al["begin_time"], kind="stable")
     begin = al["begin_time"][order]
-
-    # node rows grouped by allocation id for the per-shard join
-    nodes_of: dict[int, np.ndarray] = {}
-    if include_nodes and na.n_rows:
-        na_order = np.argsort(na["allocation_id"], kind="stable")
-        ids = na["allocation_id"][na_order]
-        nds = na["node"][na_order]
-        bounds = np.flatnonzero(np.diff(ids)) + 1
-        for aid, grp in zip(
-            ids[np.concatenate([[0], bounds])] if len(ids) else [],
-            np.split(nds, bounds),
-        ):
-            nodes_of[int(aid)] = grp
 
     ds = PartitionedDataset.create(root, name)
     if al.n_rows:
@@ -87,7 +73,7 @@ def schedule_to_partitioned(
             rows = order[lo:hi]
             shard = al.take(rows)
             if include_nodes:
-                shard = _with_node_rows(shard, nodes_of)
+                shard = _with_node_rows(shard, schedule)
             ds.append(shard, w0, w1)
 
     durations = al["end_time"] - al["begin_time"] if al.n_rows else np.empty(0)
@@ -101,10 +87,9 @@ def schedule_to_partitioned(
     return ds
 
 
-def _with_node_rows(shard: Table, nodes_of: dict[int, np.ndarray]) -> Table:
+def _with_node_rows(shard: Table, schedule: ScheduleResult) -> Table:
     """Append one row per (allocation, node) below the allocation rows."""
-    aids = shard["allocation_id"]
-    node_lists = [nodes_of.get(int(a), np.empty(0, np.int64)) for a in aids]
+    node_lists = [schedule.nodes_of(a) for a in shard["allocation_id"]]
     counts = np.array([len(nl) for nl in node_lists], dtype=np.int64)
     rep = np.repeat(np.arange(shard.n_rows), counts)
     node_part = Table(

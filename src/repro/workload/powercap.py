@@ -86,9 +86,8 @@ class PowerAwareScheduler(Scheduler):
         power_cap_w: float,
         config: SummitConfig = SUMMIT,
         seed: int = 0,
-        engine: str = "event",
     ):
-        super().__init__(config, seed, engine=engine)
+        super().__init__(config, seed)
         self.power_cap_w = float(power_cap_w)
         self._committed_w = 0.0
         self._events: list[tuple[float, float]] = []

@@ -16,22 +16,20 @@ CSM allocator scatters allocations across the floor, which is what makes
 every switchboard carry live load (Figure 4) and spreads heat evenly at
 scale (Figure 17).
 
-Two cores produce bit-identical results (tested property):
+The core is discrete-event, in the style of oar3's ``simsim`` and the
+Firmament replay wrapper: submit and completion events are merged in time
+order, the pending queue is kept incrementally sorted (``insort`` instead
+of a full re-sort per event), the running set keeps a sorted end-time
+mirror so the EASY shadow time and its spare-node count come from ONE
+walk (no per-event ``sorted(running)`` copies), and drain-window edges
+advance an O(1) interval pointer.  This is the multi-year /
+multi-million-job path.
 
-* ``engine="event"`` (default) — a discrete-event core in the style of
-  oar3's ``simsim`` and the Firmament replay wrapper: submit and
-  completion events are merged in time order, the pending queue is kept
-  incrementally sorted (``insort`` instead of a full re-sort per event),
-  the running set keeps a sorted end-time mirror so the EASY shadow time
-  and its spare-node count come from ONE walk (no per-event
-  ``sorted(running)`` copies), and drain-window edges advance an O(1)
-  interval pointer.  This is the multi-year / multi-million-job path.
-* ``engine="reference"`` — the original batch-stepped loop, kept as the
-  differential-testing oracle and the baseline for
-  ``benchmarks/bench_sched_scale.py``.
-
-Both engines draw from the same placement RNG in the same order, so
-``ScheduleResult`` is identical bit for bit.
+The original batch-stepped loop lives in ``tests/oracles/scheduler.py``
+as the differential-testing oracle and the baseline of
+``benchmarks/bench_sched_scale.py``; it drives the same :class:`_Sim`,
+so both draw from the placement RNG in the same order and produce
+bit-identical :class:`ScheduleResult` tables.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ from repro.frame.table import Table
 from repro.obs import trace
 from repro.obs.metrics import REGISTRY
 from repro.workload.jobs import JobCatalog
-
-_ENGINES = ("event", "reference")
 
 
 @dataclass
@@ -81,11 +77,36 @@ class ScheduleResult:
             }
         )
     )
+    _node_index: dict[int, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def nodes_of(self, allocation_id: int) -> np.ndarray:
-        """Node ids assigned to one allocation."""
-        na = self.node_allocations
-        return na["node"][na["allocation_id"] == allocation_id]
+        """Node ids assigned to one allocation, in ``node_allocations`` row
+        order; empty for an allocation without node rows or an unknown id.
+
+        The allocation -> nodes index (one stable argsort + split of
+        ``node_allocations``, arrays read-only) is built on first use, so
+        per-job callers stay linear at year scale instead of scanning the
+        whole per-node table per call.
+        """
+        if self._node_index is None:
+            # no lock (the result must stay picklable): threads racing
+            # here build equal dicts and the last assignment wins
+            na = self.node_allocations
+            order = np.argsort(na["allocation_id"], kind="stable")
+            ids = na["allocation_id"][order]
+            nodes = na["node"][order]
+            nodes.flags.writeable = False
+            bounds = np.flatnonzero(np.diff(ids)) + 1
+            firsts = ids[np.concatenate([[0], bounds])] if len(ids) else []
+            self._node_index = {
+                int(a): grp for a, grp in zip(firsts, np.split(nodes, bounds))
+            }
+        nodes = self._node_index.get(int(allocation_id))
+        if nodes is None:
+            return self.node_allocations["node"][:0]
+        return nodes
 
 
 def _merged_drain_windows(
@@ -95,7 +116,7 @@ def _merged_drain_windows(
 
     ``any(a <= now < b)`` over the raw tuple and a pointer walk over the
     merged list agree for every ``now``, so the event core's O(1) check is
-    behavior-identical to the reference scan.
+    behavior-identical to the reference oracle's scan.
     """
     ivs = sorted((float(a), float(b)) for a, b in windows if b > a)
     merged: list[tuple[float, float]] = []
@@ -108,12 +129,13 @@ def _merged_drain_windows(
 
 
 class _Sim:
-    """Mutable machine state shared by both scheduler cores.
+    """Mutable machine state of one scheduling run.
 
     Holds the free-node mask, per-job begin/end times, the running heap
-    (completion order) and — for the event core — its sorted end-time
-    mirror ``by_end``.  ``start_job`` / ``release`` are the only writers,
-    so the two cores cannot drift in how they mutate the machine.
+    (completion order) and its sorted end-time mirror ``by_end``.
+    ``start_job`` / ``release`` are the only writers, so the event core and
+    the reference oracle (which sets ``by_end = None``) cannot drift in how
+    they mutate the machine.
     """
 
     __slots__ = (
@@ -122,7 +144,7 @@ class _Sim:
         "n_started",
     )
 
-    def __init__(self, sched: "Scheduler", catalog: JobCatalog, mirror: bool):
+    def __init__(self, sched: "Scheduler", catalog: JobCatalog):
         t = catalog.table
         n_jobs = catalog.n_jobs
         self.sched = sched
@@ -132,8 +154,8 @@ class _Sim:
         self.free = np.ones(sched.config.n_nodes, dtype=bool)
         self.n_free = sched.config.n_nodes
         self.running: list[tuple[float, int]] = []  # heap of (end_time, row)
-        #: sorted mirror of ``running`` (event core only); None = unused
-        self.by_end: list[tuple[float, int]] | None = [] if mirror else None
+        #: sorted mirror of ``running``; None = not kept
+        self.by_end: list[tuple[float, int]] | None = []
         self.node_lists: dict[int, np.ndarray] = {}
         self.begin = np.full(n_jobs, -1.0)
         self.end = np.full(n_jobs, -1.0)
@@ -183,10 +205,6 @@ class Scheduler:
     one (running jobs finish normally), so the machine drains toward idle —
     the periodic idle-touching extremes visible in the paper's Figure 5,
     and the February window where the cooling towers were serviced.
-
-    ``engine`` selects the core: ``"event"`` (default, the scalable
-    discrete-event core) or ``"reference"`` (the original loop, kept as
-    the differential-test oracle).  Both are bit-identical.
     """
 
     #: how deep into the priority queue backfill may look (production
@@ -198,20 +216,13 @@ class Scheduler:
         config: SummitConfig = SUMMIT,
         seed: int = 0,
         drain_windows: tuple[tuple[float, float], ...] = (),
-        engine: str = "event",
     ):
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         self.config = config
         self.seed = seed
         self.drain_windows = tuple(drain_windows)
-        self.engine = engine
         #: operation counters from the most recent :meth:`run` (events,
         #: submits, completion batches, queue scans, shadow walks, ...)
         self.last_run_stats: dict[str, int] = {}
-
-    def _draining(self, now: float) -> bool:
-        return any(a <= now < b for a, b in self.drain_windows)
 
     # ---- policy hooks (overridden by power-aware variants) ----
 
@@ -230,29 +241,25 @@ class Scheduler:
         are dropped (they would run in the next year).
 
         Besides ``last_run_stats``, the op counters publish into the
-        process-wide :data:`repro.obs.metrics.REGISTRY` (labelled by
-        engine), so a co-simulation driver sees scheduler work alongside
-        every other subsystem's metrics.
+        process-wide :data:`repro.obs.metrics.REGISTRY`, so a co-simulation
+        driver sees scheduler work alongside every other subsystem's
+        metrics.
         """
-        with trace.span("sched.run", engine=self.engine,
-                        jobs=catalog.n_jobs, horizon_s=horizon_s) as sp:
-            if self.engine == "reference":
-                result = self._run_reference(catalog, horizon_s)
-            else:
-                result = self._run_event(catalog, horizon_s)
+        with trace.span("sched.run", jobs=catalog.n_jobs,
+                        horizon_s=horizon_s) as sp:
+            result = self._run_core(catalog, horizon_s)
             sp.set(**self.last_run_stats)
         for key, value in self.last_run_stats.items():
             if key == "max_pending":
-                gauge = REGISTRY.gauge(f"sched.{key}", engine=self.engine)
+                gauge = REGISTRY.gauge(f"sched.{key}")
                 if value > gauge.value:
                     gauge.set(value)
             else:
-                REGISTRY.counter(f"sched.{key}", engine=self.engine).inc(value)
+                REGISTRY.counter(f"sched.{key}").inc(value)
         return result
 
-    # ---------------- event-driven core ----------------
-
-    def _run_event(self, catalog: JobCatalog, horizon_s: float) -> ScheduleResult:
+    def _run_core(self, catalog: JobCatalog, horizon_s: float) -> ScheduleResult:
+        """The event-driven core: one run, filling ``last_run_stats``."""
         t = catalog.table
         submit = t["submit_time"]
         sclass_l = t["sched_class"].tolist()
@@ -264,7 +271,7 @@ class Scheduler:
         submit_l = submit[order].tolist()
         n_jobs = catalog.n_jobs
 
-        sim = _Sim(self, catalog, mirror=True)
+        sim = _Sim(self, catalog)
         running = sim.running
         by_end = sim.by_end
         node_lists = sim.node_lists
@@ -316,7 +323,7 @@ class Scheduler:
 
         def try_start(now: float) -> None:
             """Priority scan with EASY reservation backfill (decision-
-            identical to the reference scan over ``sorted(pending)``)."""
+            identical to the oracle's scan over ``sorted(pending)``)."""
             nonlocal drain_ptr
             if not pending or sim.n_free == 0:
                 return
@@ -378,7 +385,7 @@ class Scheduler:
         for i in range(n_jobs):
             now = submit_l[i]
             # completion events (and the queue scans they unlock) strictly
-            # precede a submit at the same instant, as in the reference
+            # precede a submit at the same instant
             while running and running[0][0] <= now:
                 completion_batch()
             row = order_l[i]
@@ -394,129 +401,6 @@ class Scheduler:
         # horizon closes or the queue drains
         while pending and running and running[0][0] <= horizon_s:
             completion_batch()
-
-        stats["n_events"] = stats["n_submits"] + stats["n_completion_batches"]
-        stats["n_started"] = sim.n_started
-        self.last_run_stats = stats
-        return _assemble(catalog, sim)
-
-    # ---------------- reference core (differential oracle) ----------------
-
-    def _run_reference(
-        self, catalog: JobCatalog, horizon_s: float
-    ) -> ScheduleResult:
-        """The original batch-stepped loop: re-sorts ``pending`` every
-        event and walks ``sorted(running)`` for the reservation (one pass
-        for shadow *and* spare — the historical second walk is folded in).
-        """
-        t = catalog.table
-        submit = t["submit_time"]
-        nodes_req = t["node_count"]
-        wall = t["walltime_s"]
-        sclass = t["sched_class"]
-
-        order = np.argsort(submit, kind="stable")
-        sim = _Sim(self, catalog, mirror=False)
-        running = sim.running
-        node_lists = sim.node_lists
-
-        pending: list[tuple[int, int, int]] = []  # (class, seq, row)
-        stats = {
-            "n_events": 0, "n_submits": 0, "n_completion_batches": 0,
-            "n_queue_scans": 0, "n_scans_skipped": 0, "n_shadow_walks": 0,
-            "max_pending": 0,
-        }
-
-        def shadow_and_spare(k_needed: int) -> tuple[float, int]:
-            """Earliest time the top blocked job can have ``k_needed``
-            nodes, and the spare nodes at that instant — one end-ordered
-            walk of the running set."""
-            stats["n_shadow_walks"] += 1
-            avail = sim.n_free
-            freed = sim.n_free
-            shadow = float("inf")
-            for t_end, row in sorted(running):
-                nn = len(node_lists[row])
-                if shadow == float("inf"):
-                    avail += nn
-                    if avail >= k_needed:
-                        shadow = t_end
-                        freed = avail
-                elif t_end > shadow:
-                    break
-                else:
-                    freed += nn
-            if shadow == float("inf"):
-                return shadow, 0
-            return shadow, max(0, freed - k_needed)
-
-        def try_start(now: float) -> None:
-            """Priority scan with EASY reservation backfill."""
-            if not pending or sim.n_free == 0 or self._draining(now):
-                return
-            stats["n_queue_scans"] += 1
-            pending.sort()
-            still: list[tuple[int, int, int]] = []
-            shadow: float | None = None
-            spare_at_shadow = 0
-            for depth, item in enumerate(pending):
-                if sim.n_free == 0 or depth >= self.BACKFILL_DEPTH:
-                    still.extend(pending[depth:])
-                    break
-                row = item[2]
-                k = int(nodes_req[row])
-                if k <= sim.n_free and not self.admit(catalog, row, now):
-                    # policy veto (e.g. power cap): job waits without
-                    # earning a node reservation
-                    still.append(item)
-                elif k <= sim.n_free and shadow is None:
-                    sim.start_job(row, now)
-                elif k <= sim.n_free:
-                    # backfill candidate: must not delay the reservation —
-                    # either done by the shadow time, or small enough to fit
-                    # in the nodes the blocked job leaves spare
-                    if now + float(wall[row]) <= shadow or k <= spare_at_shadow:
-                        sim.start_job(row, now)
-                        if k > spare_at_shadow:
-                            spare_at_shadow = 0
-                        else:
-                            spare_at_shadow -= k
-                    else:
-                        still.append(item)
-                else:
-                    if shadow is None:
-                        # first blocked job: compute its reservation
-                        shadow, spare_at_shadow = shadow_and_spare(k)
-                    still.append(item)
-            pending[:] = still
-
-        seq = 0
-        for j in order:
-            now = float(submit[j])
-            # release completions (and give queued jobs those nodes) in order
-            while running and running[0][0] <= now:
-                t_end, row_done = heapq.heappop(running)
-                sim.release(row_done, t_end)
-                # drain any other jobs ending at the same instant first
-                while running and running[0][0] <= t_end:
-                    _, r2 = heapq.heappop(running)
-                    sim.release(r2, t_end)
-                stats["n_completion_batches"] += 1
-                try_start(t_end)
-            pending.append((int(sclass[j]), seq, int(j)))
-            seq += 1
-            stats["n_submits"] += 1
-            stats["max_pending"] = max(stats["max_pending"], len(pending))
-            try_start(now)
-
-        while pending and running and running[0][0] <= horizon_s:
-            t_end, row_done = heapq.heappop(running)
-            sim.release(row_done, t_end)
-            while running and running[0][0] <= t_end:
-                _, r2 = heapq.heappop(running)
-                sim.release(r2, t_end)
-            stats["n_completion_batches"] += 1
-            try_start(t_end)
 
         stats["n_events"] = stats["n_submits"] + stats["n_completion_batches"]
         stats["n_started"] = sim.n_started

@@ -13,29 +13,28 @@ Long simulations should build day-sized windows and stream them into a
 :meth:`ClusterTraceBuilder.build_partitioned` fans the windows out across
 an :class:`~repro.parallel.executor.Executor` and appends the shards.
 
-Two paint engines produce bit-identical :class:`TraceArrays`:
+One batched painter fills the arrays: allocations are pruned against a
+sorted begin-time interval index (:class:`AllocationIntervalIndex`),
+grouped by identical sample extent ``(i0, i1)`` and profile kind (in any
+window, most active allocations span the whole window and land in one
+group per kind), and each group is painted as one stacked
+``(sum_k, slots, tlen)`` kernel: one
+:func:`~repro.workload.apps.profile_utilization_batch` call and one
+``component_power`` call per group chunk instead of one interpreted
+iteration — rng reseed, profile rebuild, and ~25 small-ufunc dispatches —
+per allocation.  Per-allocation noise vectors (:func:`node_noise`, a
+stream keyed by allocation id) are drawn once per builder and cached.
 
-* ``engine="batch"`` (default) — allocations are pruned against a sorted
-  begin-time interval index (:class:`AllocationIntervalIndex`), grouped
-  by identical sample extent ``(i0, i1)`` and profile kind (in any
-  window, most active allocations span the whole window and land in one
-  group per kind), and each group is painted as one stacked
-  ``(sum_k, slots, tlen)`` kernel: one
-  :func:`~repro.workload.apps.profile_utilization_batch` call and one
-  ``component_power`` call per group chunk instead of one interpreted
-  iteration — rng reseed, profile rebuild, and ~25 small-ufunc
-  dispatches — per allocation.  Per-allocation noise vectors are drawn
-  once and cached (the ``SeedSequence([seed, 0x7A5E, aid])`` stream is
-  keyed by allocation id, so caching cannot change values).
-* ``engine="loop"`` — the original per-allocation loop, kept as the
-  differential-testing oracle.
-
-Bit-identity notes: a group stacks allocations along the node axis and
-flows through the *same* ``node_model.component_power`` call as the
-loop, so per-(node, time) arithmetic is literally the same ops on the
-same operands; reductions only ever run over a node's 2 CPUs or 6 GPUs
-(axis lengths below numpy's pairwise-summation block); two allocations
-sharing a node never overlap in time, so writes touch disjoint cells.
+The per-allocation painter it replaced lives in ``tests/oracles/traces.py``
+as the differential-testing oracle; it paints each allocation with
+:func:`allocation_component_power`, the kernel the direct dataset paths
+in :mod:`repro.datasets.generate` use.  Bit-identity notes: a group stacks
+allocations along the node axis and flows through the *same*
+``node_model.component_power`` call, so per-(node, time) arithmetic is
+literally the same ops on the same operands; reductions only ever run
+over a node's 2 CPUs or 6 GPUs (axis lengths below numpy's
+pairwise-summation block); two allocations sharing a node never overlap
+in time, so writes touch disjoint cells.
 """
 
 from __future__ import annotations
@@ -67,14 +66,46 @@ MAX_CELLS = 100_000_000
 #: stays memory-friendly (~50 MB peak through ``component_power``).
 BATCH_CHUNK_CELLS = 400_000
 
-_ENGINES = ("batch", "loop")
+
+def node_noise(seed: int, allocation_id: int, n_nodes: int) -> np.ndarray:
+    """Per-node utilization multipliers of one allocation, shape (n, 1).
+
+    The stream is keyed by ``(seed, allocation_id)`` alone, so every path
+    that paints the allocation (dense traces, direct job series, direct
+    cluster power) draws the same noise, whatever window it renders.
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, 0x7A5E, allocation_id])
+    )
+    return 1.0 + rng.normal(0.0, NODE_NOISE_SIGMA, size=(n_nodes, 1))
 
 
-def job_utilization(
-    profile: AppProfile, t_rel: np.ndarray, duration: float
+def allocation_component_power(
+    model: NodePowerModel,
+    profile: AppProfile,
+    nodes: np.ndarray,
+    k_used: int,
+    noise: np.ndarray,
+    t_rel: np.ndarray,
+    duration: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Job-level (cpu, gpu) utilization at times relative to job start."""
-    return profile_utilization(profile, t_rel, duration)
+    """Per-component power of one allocation at job-relative times.
+
+    Profile utilization, scaled by each node's ``noise`` and clipped,
+    drives every CPU and the first ``k_used`` GPUs (the rest idle) through
+    ``model.component_power``; returns its ``(k, slots, len(t_rel))``
+    CPU and GPU watts.
+    """
+    cfg = model.config
+    cpu_u, gpu_u = profile_utilization(profile, t_rel, duration)
+    cu = np.clip(cpu_u[None, :] * noise, 0.0, 1.0)
+    gu = np.clip(gpu_u[None, :] * noise, 0.0, 1.0)
+    cpu_util = np.broadcast_to(
+        cu[:, None, :], (len(nodes), cfg.cpus_per_node, len(t_rel))
+    )
+    gpu_util = np.zeros((len(nodes), cfg.gpus_per_node, len(t_rel)))
+    gpu_util[:, :k_used, :] = gu[:, None, :]
+    return model.component_power(nodes, cpu_util, gpu_util)
 
 
 class AllocationIntervalIndex:
@@ -170,50 +201,23 @@ class ClusterTraceBuilder:
         schedule: ScheduleResult,
         chips: ChipPopulation | None = None,
         seed: int = 0,
-        engine: str = "batch",
-        noise_cache: bool = True,
     ):
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         self.catalog = catalog
         self.schedule = schedule
         self.config: SummitConfig = catalog.config
         self.chips = chips if chips is not None else ChipPopulation(self.config, seed)
         self.node_model = NodePowerModel(self.config, self.chips)
         self.seed = seed
-        self.engine = engine
-        self.noise_cache = noise_cache
-        self._alloc_nodes = self._index_allocation_nodes()
         self._intervals = AllocationIntervalIndex(schedule.allocations)
         #: per-allocation noise vectors, drawn once (the stream is keyed
-        #: by allocation id, so the cache cannot change any value).
-        #: ``noise_cache=False`` redraws per call — only useful to make
-        #: benchmark baselines pay the original per-window rng cost.
-        self._noise_cache: dict[int, np.ndarray] = {}
-
-    def _index_allocation_nodes(self) -> dict[int, np.ndarray]:
-        """allocation_id -> sorted node array, built in one grouped pass."""
-        na = self.schedule.node_allocations
-        if na.n_rows == 0:
-            return {}
-        order = np.argsort(na["allocation_id"], kind="stable")
-        ids = na["allocation_id"][order]
-        nodes = na["node"][order]
-        bounds = np.flatnonzero(np.diff(ids)) + 1
-        splits = np.split(nodes, bounds)
-        uniq = ids[np.concatenate([[0], bounds])] if len(ids) else []
-        return {int(a): np.sort(s) for a, s in zip(uniq, splits)}
+        #: by allocation id, so the cache cannot change any value)
+        self._noises: dict[int, np.ndarray] = {}
 
     def _noise_of(self, aid: int, k: int) -> np.ndarray:
         """Per-node utilization noise for allocation ``aid``, shape (k, 1)."""
-        noise = self._noise_cache.get(aid)
+        noise = self._noises.get(aid)
         if noise is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed, 0x7A5E, aid])
-            )
-            noise = 1.0 + rng.normal(0.0, NODE_NOISE_SIGMA, size=(k, 1))
-            if self.noise_cache:
-                self._noise_cache[aid] = noise
+            noise = self._noises[aid] = node_noise(self.seed, aid, k)
         return noise
 
     def active_allocations(self, t0: float, t1: float) -> Table:
@@ -229,19 +233,21 @@ class ClusterTraceBuilder:
         dt: float,
         per_gpu: bool = False,
         track_alloc: bool = False,
-        engine: str | None = None,
     ) -> TraceArrays:
-        """Dense traces for ``[t0, t1)`` sampled every ``dt`` seconds.
+        """Dense traces for ``[t0, t1)`` sampled every ``dt`` seconds."""
+        times, cpu_w, gpu_w, gpu_detail, alloc_of = self._idle_arrays(
+            t0, t1, dt, per_gpu, track_alloc
+        )
+        self._paint_batch(times, t0, t1, cpu_w, gpu_w, gpu_detail, alloc_of)
+        return self._traces(times, cpu_w, gpu_w, gpu_detail, alloc_of)
 
-        ``engine`` overrides the builder default: ``"batch"`` (fused
-        kernels over kind buckets) or ``"loop"`` (the original
-        per-allocation oracle).  Both are bit-identical.
-        """
+    def _idle_arrays(
+        self, t0: float, t1: float, dt: float, per_gpu: bool, track_alloc: bool
+    ) -> tuple:
+        """``(times, cpu_w, gpu_w, gpu_detail, alloc_of)`` of an idle
+        machine over ``[t0, t1)``, ready to paint allocations into."""
         if t1 <= t0 or dt <= 0:
             raise ValueError("need t1 > t0 and dt > 0")
-        engine = engine or self.engine
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         cfg = self.config
         times = np.arange(t0, t1, dt)
         n_t = len(times)
@@ -261,10 +267,13 @@ class ClusterTraceBuilder:
         alloc_of = (
             np.full((n, n_t), -1, dtype=np.int64) if track_alloc else None
         )
+        return times, cpu_w, gpu_w, gpu_detail, alloc_of
 
-        paint = self._paint_batch if engine == "batch" else self._paint_loop
-        paint(times, t0, t1, cpu_w, gpu_w, gpu_detail, alloc_of)
-
+    def _traces(
+        self, times, cpu_w, gpu_w, gpu_detail, alloc_of
+    ) -> TraceArrays:
+        """Painted component arrays plus the node input power they imply."""
+        cfg = self.config
         input_w = np.minimum(
             (cpu_w + gpu_w + cfg.node_other_w) / cfg.psu_efficiency,
             cfg.node_max_power_w,
@@ -277,80 +286,6 @@ class ClusterTraceBuilder:
             gpu_power_w=gpu_detail,
             node_alloc=alloc_of,
         )
-
-    # ---------------- loop engine (differential oracle) ----------------
-
-    def _paint_loop(
-        self,
-        times: np.ndarray,
-        t0: float,
-        t1: float,
-        cpu_w: np.ndarray,
-        gpu_w: np.ndarray,
-        gpu_detail: np.ndarray | None,
-        alloc_of: np.ndarray | None,
-    ) -> None:
-        """One interpreted iteration per active allocation (the original)."""
-        active = self.active_allocations(t0, t1)
-        for i in range(active.n_rows):
-            aid = int(active["allocation_id"][i])
-            begin = float(active["begin_time"][i])
-            end = float(active["end_time"][i])
-            nodes = self._alloc_nodes.get(aid)
-            if nodes is None or len(nodes) == 0:
-                continue
-            self._paint_one(
-                aid, begin, end, nodes, times,
-                cpu_w, gpu_w, gpu_detail, alloc_of,
-            )
-
-    def _paint_one(
-        self,
-        aid: int,
-        begin: float,
-        end: float,
-        nodes: np.ndarray,
-        times: np.ndarray,
-        cpu_w: np.ndarray,
-        gpu_w: np.ndarray,
-        gpu_detail: np.ndarray | None,
-        alloc_of: np.ndarray | None,
-    ) -> None:
-        """Paint one allocation as ``(k, slots, t)`` numpy calls."""
-        cfg = self.config
-        row = self.catalog.row_of_allocation(aid)
-        profile = self.catalog.profile(row)
-
-        i0 = int(np.searchsorted(times, begin, side="left"))
-        i1 = int(np.searchsorted(times, end, side="left"))
-        if i1 <= i0:
-            return
-        t_rel = times[i0:i1] - begin
-        cpu_u, gpu_u = profile_utilization(profile, t_rel, end - begin)
-
-        noise = self._noise_of(aid, len(nodes))
-
-        # (n_job, n_slots, t) utilizations; unused GPU slots stay idle
-        k_used = int(self.catalog.table["gpus_used"][row]) if (
-            "gpus_used" in self.catalog.table
-        ) else self.config.gpus_per_node
-        cu = np.clip(cpu_u[None, :] * noise, 0.0, 1.0)
-        gu = np.clip(gpu_u[None, :] * noise, 0.0, 1.0)
-        cpu_util = np.broadcast_to(
-            cu[:, None, :], (len(nodes), cfg.cpus_per_node, len(t_rel))
-        )
-        gpu_util = np.zeros((len(nodes), cfg.gpus_per_node, len(t_rel)))
-        gpu_util[:, :k_used, :] = gu[:, None, :]
-
-        c_w, g_w = self.node_model.component_power(nodes, cpu_util, gpu_util)
-        cpu_w[nodes, i0:i1] = c_w.sum(axis=1)
-        gpu_w[nodes, i0:i1] = g_w.sum(axis=1)
-        if gpu_detail is not None:
-            gpu_detail[nodes, :, i0:i1] = g_w
-        if alloc_of is not None:
-            alloc_of[nodes, i0:i1] = aid
-
-    # ---------------- batch engine (fused kernels) ----------------
 
     def _paint_batch(
         self,
@@ -366,8 +301,8 @@ class ClusterTraceBuilder:
         paint each group as one stacked ``(sum_k, slots, tlen)`` kernel.
 
         Allocations in a group share ``times[i0:i1]``, so they stack
-        along the node axis and reuse the loop engine's broadcasting
-        layout — chip factors and noise stay ``(N, slots, 1)`` /
+        along the node axis and reuse :func:`allocation_component_power`'s
+        broadcasting layout — chip factors and noise stay ``(N, slots, 1)`` /
         ``(N, 1)`` views instead of per-cell gathers — while amortizing
         the per-allocation interpreter work across the whole group.
         """
@@ -382,17 +317,16 @@ class ClusterTraceBuilder:
         i0 = np.searchsorted(times, begins, side="left")
         i1 = np.searchsorted(times, ends, side="left")
 
-        # node lists + cached noise (skip sample-less and node-less allocs,
-        # exactly the allocations the loop engine `continue`s past)
+        # node lists + cached noise (skip sample-less and node-less allocs)
         keep_idx: list[int] = []
         nodes_list: list[np.ndarray] = []
         noise_list: list[np.ndarray] = []
-        alloc_nodes = self._alloc_nodes
+        nodes_of = self.schedule.nodes_of
         for j, a in enumerate(aids.tolist()):
             if i1[j] <= i0[j]:
                 continue
-            nl = alloc_nodes.get(a)
-            if nl is None or len(nl) == 0:
+            nl = nodes_of(a)
+            if len(nl) == 0:
                 continue
             keep_idx.append(j)
             nodes_list.append(nl)
@@ -413,11 +347,7 @@ class ClusterTraceBuilder:
                 "period_s", "duty", "phase_s",
             )
         }
-        k_used = (
-            cat["gpus_used"][cat_rows]
-            if "gpus_used" in cat
-            else np.full(len(cat_rows), self.config.gpus_per_node)
-        ).astype(np.int64)
+        k_used = cat["gpus_used"][cat_rows].astype(np.int64)
 
         tlen = i1 - i0
         k_arr = np.array([len(nl) for nl in nodes_list], dtype=np.int64)
@@ -479,7 +409,7 @@ class ClusterTraceBuilder:
         (every formula is elementwise, so in-extent cells never depend on
         padded ones) and the scatter masks the padding out.  In-extent
         operands — gathered times, parameter columns, noise, chip factors
-        — match the per-allocation painter exactly, so results are
+        — match :func:`allocation_component_power`'s exactly, so results are
         bit-identical.  Two allocations sharing a node never overlap in
         time, hence no (node, time) write collides.
         """
@@ -524,7 +454,7 @@ class ClusterTraceBuilder:
         ku = k_used[idx][row_of_node]
         if int(ku.min()) == cfg.gpus_per_node:
             # every member drives all GPUs (the common case): a broadcast
-            # view equals the loop's zeros-then-full-assign array
+            # view equals the per-allocation zeros-then-full-assign array
             gpu_util = np.broadcast_to(
                 gu[:, None, :], (n, cfg.gpus_per_node, tlen_max)
             )
@@ -630,7 +560,7 @@ def job_power_trace(
     begin = float(al["begin_time"][sel][0])
     end = float(al["end_time"][sel][0])
     arrays = builder.build(begin, max(end, begin + dt), dt)
-    nodes = builder._alloc_nodes[int(allocation_id)]
+    nodes = builder.schedule.nodes_of(allocation_id)
     p = arrays.node_input_w[nodes]
     return Table(
         {

@@ -146,6 +146,23 @@ class TestCliPipelineFlags:
         assert capsys.readouterr().out == ref
 
 
+def _write_tiny_telemetry(root):
+    """A 6-node, 600 s archived telemetry dataset at ``root / "tel"``."""
+    import numpy as np
+
+    from repro.datasets.store import write_partitioned_series
+    from repro.frame.table import Table
+
+    rng = np.random.default_rng(11)
+    n_nodes, n_t = 6, 600
+    table = Table({
+        "node": np.repeat(np.arange(n_nodes, dtype=np.int64), n_t),
+        "timestamp": np.tile(np.arange(n_t, dtype=np.float64), n_nodes),
+        "input_power": rng.uniform(400.0, 2000.0, n_nodes * n_t),
+    })
+    write_partitioned_series(table, root, "tel", day_s=200.0)
+
+
 class TestServeCli:
     @pytest.fixture()
     def served(self, tmp_path):
@@ -153,21 +170,9 @@ class TestServeCli:
         import asyncio
         import threading
 
-        import numpy as np
-
-        from repro.datasets.store import write_partitioned_series
-        from repro.frame.table import Table
         from repro.serve import QueryService, ServiceConfig, TelemetryServer
 
-        rng = np.random.default_rng(11)
-        n_nodes, n_t = 6, 600
-        table = Table({
-            "node": np.repeat(np.arange(n_nodes, dtype=np.int64), n_t),
-            "timestamp": np.tile(np.arange(n_t, dtype=np.float64), n_nodes),
-            "input_power": rng.uniform(400.0, 2000.0, n_nodes * n_t),
-        })
-        write_partitioned_series(table, tmp_path, "tel", day_s=200.0)
-
+        _write_tiny_telemetry(tmp_path)
         service = QueryService(str(tmp_path / "tel"),
                                ServiceConfig(workers=2))
         info = {}
@@ -244,3 +249,62 @@ class TestServeCli:
         ds = PartitionedDataset(tmp_path / "out" / "telemetry")
         assert ds.n_rows == 20 * 300
         assert ds.n_partitions >= 3  # 300 s of samples in 100 s shards
+
+
+class TestServeSignals:
+    def test_sigterm_stops_like_sigint(self, tmp_path):
+        """TERM ends ``python -m repro serve`` through its normal shutdown:
+        exit 0, the service report, and the buffered spans flushed."""
+        import json
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        import repro
+
+        _write_tiny_telemetry(tmp_path)
+        ready = tmp_path / "ready"
+        trace_file = tmp_path / "trace.jsonl"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p
+            ),
+            REPRO_TRACE=str(trace_file),
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(tmp_path / "tel"),
+             "--ready-file", str(ready), "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not (ready.exists() and ready.read_text().endswith("\n")):
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline, "server never got ready"
+                time.sleep(0.05)
+            host, port = ready.read_text().split()
+            with socket.create_connection((host, int(port)), timeout=10) as s:
+                s.sendall(b'{"op": "ping"}\n')
+                reply = json.loads(s.makefile().readline())
+            assert reply["status"] == "ok"
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "query service" in out
+        names = {
+            json.loads(line)["name"]
+            for line in trace_file.read_text().splitlines()
+        }
+        assert "cli.serve" in names
+        assert {"serve.request", "serve.encode"} <= names

@@ -154,6 +154,42 @@ class TestBehavior:
         assert len(set(nodes.tolist())) == 3
         assert nodes.min() >= 0 and nodes.max() < 10
 
+    def test_nodes_of_concurrent_first_use(self, sched_pair):
+        """Threads racing to build the lazy index all read correct nodes."""
+        import sys
+        import threading
+
+        cat, built = sched_pair
+        na = built.node_allocations
+        aids = built.allocations["allocation_id"].tolist()[:200]
+        want = {a: na["node"][na["allocation_id"] == a] for a in aids}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                res = type(built)(
+                    built.allocations, built.node_allocations, built.dropped
+                )
+                bad = []
+                barrier = threading.Barrier(16)
+
+                def reader(offset):
+                    barrier.wait()
+                    for a in aids[offset::4]:
+                        if not np.array_equal(res.nodes_of(a), want[a]):
+                            bad.append(a)
+
+                threads = [threading.Thread(target=reader, args=(i % 4,))
+                           for i in range(16)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(30)
+                assert not any(t.is_alive() for t in threads)
+                assert bad == []
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_placement_scatters_across_machine(self):
         """Allocations spread over the floor (Summit CSM behavior), so every
         switchboard carries live load."""

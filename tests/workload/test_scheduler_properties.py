@@ -8,6 +8,7 @@ from repro.config import SUMMIT
 from repro.frame.table import Table
 from repro.workload.jobs import JobCatalog
 from repro.workload.scheduler import Scheduler
+from tests.workload.test_event_core import HORIZON, tied_catalog
 
 N_NODES = 16
 
@@ -107,3 +108,19 @@ class TestSchedulerInvariants:
         b = Scheduler(catalog.config, seed=3).run(catalog, 50_000.0)
         assert a.allocations == b.allocations
         assert a.node_allocations == b.node_allocations
+
+
+class TestNodeIndex:
+    @given(tied_catalog(allow_zero_nodes=True), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_nodes_of_matches_mask_scan(self, catalog, seed):
+        res = Scheduler(catalog.config, seed=seed).run(catalog, HORIZON)
+        na = res.node_allocations
+        ids = catalog.table["allocation_id"].tolist()
+        never_scheduled = max(ids) + 1
+        for aid in [*ids, never_scheduled]:
+            want = na["node"][na["allocation_id"] == aid]
+            got = res.nodes_of(aid)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(res.nodes_of(aid), got)
